@@ -53,7 +53,6 @@ from .cascade import (
     bandwidth_to_json,
     conversion_spectrum,
     eliminated_spectrum,
-    eliminated_transfer,
     extract_bandwidth,
     halfmax_roots_analytic,
     perturbative_t21,

@@ -8,6 +8,9 @@ passband ripple, accumulated conversion phase, and the waveguide
 dispersion relation that controls bandwidth saturation for unequal
 cavity linewidths.
 
+``array_transfer`` is the one 2x2 fold; spectra, evaluators, the optimizer's
+surrogate and the noise cascade (through its entrywise helpers) all use it.
+
 Free propagation between sites is deliberately absent here: with equal
 phases in both lanes it drops out of every conversion magnitude.  The
 lossy two-sided model reinstates it.
@@ -34,7 +37,6 @@ __all__ = [
     "Spectrum",
     "BandwidthResult",
     "array_transfer",
-    "eliminated_transfer",
     "conversion_spectrum",
     "eliminated_spectrum",
     "extract_bandwidth",
@@ -76,26 +78,34 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
     """Ordered product S_N ... S_1 of single-site scattering matrices.
 
     Accepts full sites (SiteParams) or eliminated ones (EliminatedSite),
-    and a scalar or array of frequencies.
+    and a scalar or array of frequencies; returns ``np.shape(omega) + (2, 2)``.
+    The four entries are folded as separate arrays by elementwise
+    multiply-adds: matmul on 2x2 stacks calls BLAS once per point.
     """
     if len(sites) == 0:
         raise ValueError("need at least one site")
     t = None
     for site in sites:
-        s = _site_scattering(site, omega)
-        t = s if t is None else s @ t
-    return t
+        kernel = (scattering_eliminated if isinstance(site, EliminatedSite)
+                  else scattering_full)
+        s = _entries(kernel(site, omega))
+        t = s if t is None else _mul2(s, t)
+    out = np.empty(np.shape(omega) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t
+    return out
 
 
-def _site_scattering(site, omega) -> np.ndarray:
-    if isinstance(site, EliminatedSite):
-        return scattering_eliminated(site, omega)
-    return scattering_full(site, omega)
+def _entries(m):
+    """Entries (m00, m01, m10, m11) of a stack of 2x2 matrices."""
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
 
 
-def eliminated_transfer(sites: Sequence[EliminatedSite], omega) -> np.ndarray:
-    """Cascade in the adiabatically eliminated picture."""
-    return array_transfer(list(sites), omega)
+def _mul2(a, b):
+    """Entries of a @ b, for 2x2 stacks given by their entries."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
 def conversion_spectrum(config: ArrayConfig, grid: FrequencyGrid,
@@ -111,7 +121,7 @@ def eliminated_spectrum(sites: Sequence[EliminatedSite], grid: FrequencyGrid,
     return _spectrum_from_sites(list(sites), grid, store_matrices)
 
 
-def _spectrum_from_sites(sites, grid, store_matrices) -> Spectrum:
+def _spectrum_from_sites(sites, grid, store_matrices=False) -> Spectrum:
     t = array_transfer(sites, grid.points())
     return Spectrum(
         grid=grid,
@@ -132,8 +142,9 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
     """
     w = spectrum.grid.points()
     v = np.abs(spectrum.t21) ** 2
-    peak_idx = int(np.argmax(v))
-    peak = float(v[peak_idx])
+    if not np.all(np.isfinite(v)):
+        raise SpectrumError("conversion spectrum is not finite")
+    peak = float(v.max())
     if peak <= 0:
         raise SpectrumError("no positive maximum in spectrum")
     half = peak / 2

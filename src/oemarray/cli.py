@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -312,7 +311,7 @@ def cmd_optimize(args) -> int:
     min_eff = float(_pick(args, "min_eff", doc, "min_efficiency", 0.99))
     seed = int(_pick(args, "seed", doc, "seed", 97))
     starts = int(_pick(args, "starts", doc, "starts", 3))
-    workers = args.threads if args.threads is not None else os.cpu_count() or 1
+    workers = args.threads if args.threads is not None else 1
     if workers < 1:
         raise ConfigError("--threads must be >= 1")
     try:
@@ -372,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__} (config schema {SCHEMA_VERSION})")
     parser.add_argument("--threads", type=int,
-                        help="cap worker threads (default: all cores)")
+                        help="optimizer worker threads (default: 1; the pool "
+                             "is GIL-bound and was measured slower)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="conversion spectrum and bandwidth")

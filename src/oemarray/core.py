@@ -46,6 +46,15 @@ class SpectrumError(RuntimeError):
     """A spectrum was too degenerate or under-resolved to analyze."""
 
 
+def _solve(m, b):
+    """``np.linalg.solve`` raising SingularMatrixError, not LinAlgError."""
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(
+            "site response is singular at a requested frequency") from exc
+
+
 @dataclass(frozen=True)
 class SiteParams:
     """Physical rates of one transducer, in units of kappa_ref.

@@ -17,8 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams
-from .cascade import array_transfer
+from .core import SingularMatrixError, SiteParams, _solve
 
 __all__ = [
     "LossySite",
@@ -143,7 +142,7 @@ def scattering_two_sided(site: LossySite, omega) -> BiScatter:
         [0, 0, 0, 0],
     ])
     m = a + 1j * w[..., None, None] * np.eye(3)
-    x = np.linalg.solve(m, np.broadcast_to(b, m.shape[:-1] + (4,)))
+    x = _solve(m, np.broadcast_to(b, m.shape[:-1] + (4,)))
     return BiScatter(matrix=-np.eye(4) - np.swapaxes(b, -1, -2) @ x)
 
 

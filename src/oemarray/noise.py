@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayConfig, FrequencyGrid, SiteParams, materialize_sites
-from .cascade import Spectrum, extract_bandwidth
+from .core import ArrayConfig, FrequencyGrid, SiteParams, _solve, materialize_sites
+from .cascade import (Spectrum, _entries, _mul2, _spectrum_from_sites,
+                      extract_bandwidth)
 from .transducer import BogoliubovSite, scattering_bogoliubov, scattering_full
 
 try:
@@ -77,7 +78,7 @@ def _coupling_vector(site: SiteParams, omega) -> np.ndarray:
     ])
     e = np.array([0.0, 0.0, np.sqrt(site.gamma)], dtype=complex)
     m = a + 1j * w[..., None, None] * np.eye(3)
-    x = np.linalg.solve(m, np.broadcast_to(e, m.shape[:-1])[..., None])[..., 0]
+    x = _solve(m, np.broadcast_to(e, m.shape[:-1])[..., None])[..., 0]
     v = np.empty(w.shape + (2,), dtype=complex)
     v[..., 0] = -np.sqrt(site.kappa1) * x[..., 0]
     v[..., 1] = -np.sqrt(site.kappa2) * x[..., 1]
@@ -101,14 +102,14 @@ def _added_noise_terms(sites, w, n_bar):
     strength = 2 * n_bar + 1
     s1 = np.zeros(np.shape(w))
     s2 = np.zeros(np.shape(w))
-    downstream = None  # product S_N ... S_{j+1}, built right to left
+    downstream = (1, 0, 0, 1)  # entries of S_N ... S_{j+1}, right to left
     for j in range(len(sites), 0, -1):
         v = _coupling_vector(sites[j - 1], w)
-        chi = v if downstream is None else (downstream @ v[..., None])[..., 0]
-        s1 += np.abs(chi[..., 0]) ** 2 * strength
-        s2 += np.abs(chi[..., 1]) ** 2 * strength
-        s_j = scattering_full(sites[j - 1], w)
-        downstream = s_j if downstream is None else downstream @ s_j
+        d00, d01, d10, d11 = downstream
+        s1 += np.abs(d00 * v[..., 0] + d01 * v[..., 1]) ** 2 * strength
+        s2 += np.abs(d10 * v[..., 0] + d11 * v[..., 1]) ** 2 * strength
+        if j > 1:
+            downstream = _mul2(downstream, _entries(scattering_full(sites[j - 1], w)))
     return s1, s2
 
 
@@ -154,21 +155,8 @@ def integrated_added_noise(config: ArrayConfig,
 def _conversion_window(sites, band_grid):
     if band_grid is None:
         band_grid = FrequencyGrid(-1.5, 1.5, 3001)
-    sp = Spectrum(
-        grid=band_grid,
-        t21=_cascade_t21(sites, band_grid.points()),
-        evaluator=lambda w: _cascade_t21(sites, w),
-    )
-    fwhm = extract_bandwidth(sp).fwhm
+    fwhm = extract_bandwidth(_spectrum_from_sites(sites, band_grid)).fwhm
     return -fwhm / 2, fwhm / 2
-
-
-def _cascade_t21(sites, w):
-    t = None
-    for site in sites:
-        s = scattering_full(site, w)
-        t = s if t is None else s @ t
-    return t[..., 1, 0]
 
 
 def _adaptive_trapezoid(f, lo, hi, rtol=1e-4, max_doublings=12):

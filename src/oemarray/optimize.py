@@ -20,7 +20,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .core import FrequencyGrid, SpectrumError
 from .transducer import EliminatedSite
-from .cascade import eliminated_spectrum, extract_bandwidth
+from .cascade import array_transfer, eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -98,20 +98,9 @@ def _grid_metrics(fracs: np.ndarray,
     cheap surrogate the local search iterates on, while final reporting
     goes through the bisection-refined extractor.
     """
-    grid = _grid_for(problem)
-    w = grid.points()
-    t = None
-    for site in _sites_for(fracs, problem.gamma_total):
-        s = np.empty(w.shape + (2, 2), dtype=complex)
-        g1, g2 = site.gamma1, site.gamma2
-        den = 2 * (g1 + g2) - 1j * w
-        s[..., 0, 0] = (-2 * (g1 - g2) - 1j * w) / den
-        s[..., 1, 1] = (2 * (g1 - g2) - 1j * w) / den
-        off = -4 * np.sqrt(g1 * g2) / den
-        s[..., 0, 1] = off
-        s[..., 1, 0] = off
-        t = s if t is None else s @ t
-    v = np.abs(t[..., 1, 0]) ** 2
+    w = _grid_for(problem).points()
+    t21 = array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]
+    v = np.abs(t21) ** 2
     peak = float(v.max())
     if peak <= 0:
         return 0.0, 0.0

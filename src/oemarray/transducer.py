@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams
+from .core import SingularMatrixError, SiteParams, _solve
 
 __all__ = [
     "EliminatedSite",
@@ -140,12 +140,22 @@ def scattering_eliminated(site: EliminatedSite, omega) -> np.ndarray:
     ``gamma1`` and ``gamma2``; the matrix is exactly unitary at every
     real frequency.  Accurate to O(g**2/kappa**2) relative to
     ``scattering_full`` for frequencies well inside the cavity linewidth.
+
+    Entries are homogeneous of degree 0 in (gamma1, gamma2, omega), so rates
+    below 2**-500 are lifted there, with omega, by a power of two: this
+    keeps gamma1*gamma2 and the denominator normal.  Lifted |omega| is
+    clipped to 2**600, where the response is already the identity.
     """
     w = np.asarray(omega, dtype=float)
     G1, G2 = site.gamma1, site.gamma2
     if G1 == 0 and G2 == 0 and np.any(w == 0):
         raise SingularMatrixError(
             "uncoupled eliminated site has no response at zero frequency")
+    top = max(G1, G2)
+    if 0 < top < 2.0 ** -500:
+        lift = -500 - np.frexp(top)[1]
+        G1, G2 = np.ldexp(G1, lift), np.ldexp(G2, lift)
+        w = np.ldexp(np.clip(w, -2.0 ** (600 - lift), 2.0 ** (600 - lift)), lift)
 
     den = 2 * (G1 + G2) - 1j * w
     s = np.empty(w.shape + (2, 2), dtype=complex)
@@ -214,12 +224,7 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     m = a + 1j * w[..., None, None] * np.eye(6)
     rhs = np.broadcast_to(b.astype(complex), m.shape[:-2] + b.shape)
-    try:
-        x = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "dynamical matrix is singular at a requested frequency") from exc
-    return -np.eye(4) - b.T @ x
+    return -np.eye(4) - b.T @ _solve(m, rhs)
 
 
 def matrix_to_json(m: np.ndarray) -> list:

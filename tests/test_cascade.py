@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -25,7 +26,12 @@ from oemarray.cascade import (
     spectrum_to_csv,
     waveguide_dispersion,
 )
-from oemarray.transducer import EliminatedSite, offres_coefficients, scattering_full
+from oemarray.transducer import (
+    EliminatedSite,
+    offres_coefficients,
+    scattering_eliminated,
+    scattering_full,
+)
 
 
 def tanh_config(n, g=0.08, **kw):
@@ -80,6 +86,29 @@ class TestArrayTransfer:
         with pytest.raises(ValueError):
             array_transfer([], 0.0)
 
+    @pytest.mark.parametrize("omega", [0.13, np.linspace(-1.5, 1.5, 301),
+                                       np.linspace(-0.4, 0.4, 12).reshape(3, 4)],
+                             ids=["scalar", "vector", "2d"])
+    @pytest.mark.parametrize("kind", ["full", "eliminated"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_matches_matmul_reference(self, n, kind, omega):
+        rng = np.random.default_rng(n)
+        if kind == "full":
+            sites = [SiteParams(g1=rng.uniform(0, 0.1), g2=rng.uniform(0, 0.1),
+                                kappa1=rng.uniform(0.5, 2), kappa2=rng.uniform(0.5, 2),
+                                gamma=rng.uniform(0, 1e-2))
+                     for _ in range(n)]
+            site_matrix = scattering_full
+        else:
+            sites = [EliminatedSite(rng.uniform(0, 0.05), rng.uniform(0, 0.05))
+                     for _ in range(n)]
+            site_matrix = scattering_eliminated
+        mats = [site_matrix(site, omega) for site in sites]
+        ref = functools.reduce(np.matmul, mats[::-1])
+        t = array_transfer(sites, omega)
+        assert t.shape == np.shape(omega) + (2, 2)
+        assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestConversionSpectrum:
     def test_single_balanced_site_bandwidth(self):
@@ -122,6 +151,13 @@ class TestExtractBandwidth:
         sp = eliminated_spectrum([EliminatedSite(0.025, 0.025)],
                                  FrequencyGrid(-0.05, 0.05, 101))
         with pytest.raises(SpectrumError, match="no half-max crossing"):
+            extract_bandwidth(sp)
+
+    def test_non_finite_spectrum_rejected(self):
+        grid = FrequencyGrid(-1.0, 1.0, 5)
+        t21 = np.array([0.1, np.nan, 0.9, 0.1, 0.05], dtype=complex)
+        sp = Spectrum(grid=grid, t21=t21, evaluator=lambda w: 0.5)
+        with pytest.raises(SpectrumError, match="not finite"):
             extract_bandwidth(sp)
 
     def test_refinement_needs_evaluator(self):

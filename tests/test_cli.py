@@ -108,6 +108,16 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["noise", "loss", "backscatter"])
+    def test_singular_site_solve_maps_to_three(self, tmp_path, capsys, command):
+        # uncoupled, undamped mechanics: the site's state-space solve is
+        # singular on resonance
+        points = ["--points", "3"] if command == "noise" else []
+        rc = main([command, "--g", "0", "--gamma", "0", *points,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "numerical" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

@@ -20,6 +20,7 @@ from oemarray import (
     materialize_sites,
     noise_coupling_vector,
     noise_to_csv,
+    scattering_full,
     stokes_noise_spectrum,
     stokes_to_csv,
 )
@@ -81,6 +82,23 @@ class TestAddedNoiseSpectrum:
         sp = added_noise_spectrum(cfg, FrequencyGrid(-1, 1, 21))
         assert np.all(sp.s_add_1 == 0)
         assert np.all(sp.s_add_2 == 0)
+
+    def test_matches_matmul_downstream_reference(self):
+        # reference sum with each bath vector carried through the downstream
+        # product S_N ... S_{j+1} by matmul
+        cfg = linear_config(7)
+        sites = materialize_sites(cfg)
+        grid = FrequencyGrid(-0.5, 0.5, 201)
+        w = grid.points()
+        ref = np.zeros((2, len(w)))
+        downstream = np.broadcast_to(np.eye(2), w.shape + (2, 2))
+        for j in range(len(sites), 0, -1):
+            chi = (downstream @ noise_coupling_vector(sites, j, w)[..., None])[..., 0]
+            ref += np.abs(chi.T) ** 2 * (2 * N_BAR + 1)
+            downstream = downstream @ scattering_full(sites[j - 1], w)
+        sp = added_noise_spectrum(cfg, grid)
+        np.testing.assert_allclose(sp.s_add_1, ref[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sp.s_add_2, ref[1], rtol=1e-12, atol=0)
 
     def test_single_site_resonant_value(self):
         # balanced single transducer, C~ = 4g^2/kappa/gamma = 800:
