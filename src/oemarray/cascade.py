@@ -18,14 +18,15 @@ lossy two-sided model reinstates it.
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayConfig, FrequencyGrid, SpectrumError, materialize_sites
+from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _write_csv,
+                   _write_json, materialize_sites)
 from .transducer import (
     EliminatedSite,
     offres_coefficients,
@@ -61,7 +62,6 @@ class Spectrum:
 
     grid: FrequencyGrid
     t21: np.ndarray
-    full_matrices: Optional[np.ndarray] = None
     evaluator: Optional[Callable[[float], complex]] = None
 
 
@@ -108,25 +108,21 @@ def _mul2(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def conversion_spectrum(config: ArrayConfig, grid: FrequencyGrid,
-                        store_matrices: bool = False) -> Spectrum:
+def conversion_spectrum(config: ArrayConfig, grid: FrequencyGrid) -> Spectrum:
     """Sweep the array transfer matrix of ``config`` over ``grid``."""
     sites = materialize_sites(config)
-    return _spectrum_from_sites(sites, grid, store_matrices)
+    return _spectrum_from_sites(sites, grid)
 
 
-def eliminated_spectrum(sites: Sequence[EliminatedSite], grid: FrequencyGrid,
-                        store_matrices: bool = False) -> Spectrum:
+def eliminated_spectrum(sites: Sequence[EliminatedSite], grid: FrequencyGrid) -> Spectrum:
     """Sweep the eliminated-picture cascade over ``grid``."""
-    return _spectrum_from_sites(list(sites), grid, store_matrices)
+    return _spectrum_from_sites(list(sites), grid)
 
 
-def _spectrum_from_sites(sites, grid, store_matrices=False) -> Spectrum:
-    t = array_transfer(sites, grid.points())
+def _spectrum_from_sites(sites, grid) -> Spectrum:
     return Spectrum(
         grid=grid,
-        t21=t[..., 1, 0].copy(),
-        full_matrices=t if store_matrices else None,
+        t21=array_transfer(sites, grid.points())[..., 1, 0].copy(),
         evaluator=lambda w: array_transfer(sites, w)[..., 1, 0],
     )
 
@@ -141,10 +137,34 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
     |T21|^2 between the outermost local maxima that exceed half-max.
     """
     w = spectrum.grid.points()
-    v = np.abs(spectrum.t21) ** 2
-    if not np.all(np.isfinite(v)):
-        raise SpectrumError("conversion spectrum is not finite")
+    peak, half, i_first, i_last, passband_min = _halfmax(np.abs(spectrum.t21) ** 2)
+    if spectrum.evaluator is None:
+        raise ValueError("spectrum has no evaluator; cannot refine crossings")
+
+    def excess(x: float) -> float:
+        return abs(complex(spectrum.evaluator(x))) ** 2 - half
+
+    lo = _bisect_crossing(excess, w[i_first - 1], w[i_first])
+    hi = _bisect_crossing(excess, w[i_last], w[i_last + 1])
+    return BandwidthResult(
+        fwhm=hi - lo, omega_lo=lo, omega_hi=hi,
+        peak_value=peak, passband_min=passband_min)
+
+
+def _halfmax(v: np.ndarray):
+    """Half-max analysis of a sampled |T21|^2.
+
+    Returns ``(peak, half, i_first, i_last, passband_min)``: the global
+    maximum, half of it, the first and last grid indices at or above half,
+    and the smallest value between the outermost local maxima above half
+    (the peak itself when there is none).  Raises SpectrumError when the
+    samples are not finite, have no positive maximum, or reach half-max on
+    the grid edge.
+    """
     peak = float(v.max())
+    # v >= 0 and max propagates NaN, so the peak alone tells finiteness
+    if not math.isfinite(peak):
+        raise SpectrumError("conversion spectrum is not finite")
     if peak <= 0:
         raise SpectrumError("no positive maximum in spectrum")
     half = peak / 2
@@ -155,15 +175,6 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
     if i_first == 0 or i_last == len(v) - 1:
         raise SpectrumError("no half-max crossing inside grid")
 
-    if spectrum.evaluator is None:
-        raise ValueError("spectrum has no evaluator; cannot refine crossings")
-
-    def excess(x: float) -> float:
-        return abs(complex(spectrum.evaluator(x))) ** 2 - half
-
-    lo = _bisect_crossing(excess, w[i_first - 1], w[i_first])
-    hi = _bisect_crossing(excess, w[i_last], w[i_last + 1])
-
     interior = np.arange(1, len(v) - 1)
     is_local_max = (v[interior] >= v[interior - 1]) & (v[interior] >= v[interior + 1])
     peaks = interior[is_local_max & above[interior]]
@@ -171,10 +182,7 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
         passband_min = peak
     else:
         passband_min = float(v[peaks[0]:peaks[-1] + 1].min())
-
-    return BandwidthResult(
-        fwhm=hi - lo, omega_lo=lo, omega_hi=hi,
-        peak_value=peak, passband_min=passband_min)
+    return peak, half, i_first, i_last, passband_min
 
 
 def _bisect_crossing(f: Callable[[float], float], a: float, b: float,
@@ -300,11 +308,9 @@ def spectrum_to_csv(spectrum: Spectrum, path) -> None:
     w = spectrum.grid.points()
     t = spectrum.t21
     phase = np.unwrap(np.angle(t))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega,re_t21,im_t21,abs2_t21,phase_unwrapped\n")
-        for i in range(len(w)):
-            row = (w[i], t[i].real, t[i].imag, abs(t[i]) ** 2, phase[i])
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    _write_csv(path, "omega,re_t21,im_t21,abs2_t21,phase_unwrapped",
+               ((w[i], t[i].real, t[i].imag, abs(t[i]) ** 2, phase[i])
+                for i in range(len(w))))
 
 
 def bandwidth_to_json(result: BandwidthResult, path=None) -> dict:
@@ -315,8 +321,5 @@ def bandwidth_to_json(result: BandwidthResult, path=None) -> dict:
         "peak_value": result.peak_value,
         "passband_min": result.passband_min,
     }
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_json(path, doc)
     return doc

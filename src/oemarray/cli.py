@@ -8,7 +8,6 @@ codes: 0 ok, 2 config problem, 3 numerical failure, 4 infeasible optimization.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import replace
@@ -28,6 +27,9 @@ from .core import (
     FrequencyGrid,
     SingularMatrixError,
     SpectrumError,
+    _read_doc,
+    _write_csv,
+    _write_json,
     config_from_dict,
     config_to_dict,
     materialize_sites,
@@ -55,28 +57,8 @@ _DEFAULT_PROFILE = {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 4.5}
 # ---------------------------------------------------------------------------
 # config resolution: file -> dict, flags override, then validate
 
-def _load_doc(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})"
-        )
-    return doc
-
-
 def _doc_for(args) -> dict:
-    return _load_doc(args.config) if getattr(args, "config", None) else {}
+    return _read_doc(args.config) if getattr(args, "config", None) else {}
 
 
 def _pick(args, attr: str, doc: dict, key: str, default):
@@ -157,9 +139,7 @@ def _write_manifest(out: str, command: str, config: dict, outputs: list,
         "duration_seconds": round(time.perf_counter() - started, 6),
         "outputs": [str(p) for p in outputs],
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
@@ -204,20 +184,20 @@ def cmd_bandwidth_scan(args) -> int:
     def fwhm_at(config) -> float:
         return extract_bandwidth(conversion_spectrum(config, grid)).fwhm
 
+    def row(n: int) -> list:
+        cfg = replace(base, n_sites=n)
+        out = [n, fwhm_at(cfg), bandwidth_analytic(g, kappa, n), 4 * g * g * n / kappa]
+        if asymmetric:
+            k2 = (10 * k1[0], 10 * k1[1]) if isinstance(k1, list) else 10 * float(k1)
+            out.append(fwhm_at(replace(cfg, kappa2=k2)))
+        return out
+
     header = "n,fwhm_numeric,fwhm_eq4,fwhm_linear_fit"
     if asymmetric:
         header += ",fwhm_asymmetric"
     csv_path = f"{args.out}.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for n in range(n_lo, n_hi + 1):
-            cfg = replace(base, n_sites=n)
-            row = [fwhm_at(cfg), bandwidth_analytic(g, kappa, n),
-                   4 * g * g * n / kappa]
-            if asymmetric:
-                k2 = [10 * k1[0], 10 * k1[1]] if isinstance(k1, list) else 10 * float(k1)
-                row.append(fwhm_at(replace(cfg, kappa2=tuple(k2) if isinstance(k2, list) else k2)))
-            fh.write(",".join([str(n)] + [f"{x:.12g}" for x in row]) + "\n")
+    # rows stream to the file as each size finishes
+    _write_csv(csv_path, header, (row(n) for n in range(n_lo, n_hi + 1)))
 
     _write_manifest(args.out, "bandwidth-scan",
                     {"array": config_to_dict(base), "grid": _grid_dict(grid),

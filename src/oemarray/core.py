@@ -3,13 +3,19 @@
 All rates and frequencies are dimensionless multiples of a single reference
 linewidth ``kappa_ref``; the reference itself is carried in the config purely
 for bookkeeping.
+
+The steps other modules share live here once: ``_three_mode`` builds a site's
+drift matrix and ``_resolvent`` solves (A + i*omega)^-1 @ rhs over a frequency
+stack (the noise vector, the two-sided and the Bogoliubov kernels);
+``_read_doc`` reads config files for ``load_config`` and the CLI; and
+``_write_csv`` and ``_write_json`` fix the two data-file formats.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +52,49 @@ class SpectrumError(RuntimeError):
     """A spectrum was too degenerate or under-resolved to analyze."""
 
 
-def _solve(m, b):
-    """``np.linalg.solve`` raising SingularMatrixError, not LinAlgError."""
+def _three_mode(g1, g2, k1, k2, gamma) -> np.ndarray:
+    """Drift matrix of two cavities (linewidths k1, k2) coupled through one
+    mechanical mode (linewidth gamma) at rates g1, g2."""
+    return np.array([
+        [-k1 / 2, 0, -1j * g1],
+        [0, -k2 / 2, -1j * g2],
+        [-1j * g1, -1j * g2, -gamma / 2],
+    ])
+
+
+def _resolvent(a: np.ndarray, rhs: np.ndarray, omega) -> np.ndarray:
+    """(A + i*omega)^-1 @ rhs at every frequency of ``omega``.
+
+    Returns ``np.shape(omega) + rhs.shape``; a singular system raises
+    SingularMatrixError, not LinAlgError (which is a ValueError).
+    """
+    w = np.asarray(omega, dtype=float)
+    m = a + 1j * w[..., None, None] * np.eye(len(a))
     try:
-        return np.linalg.solve(m, b)
+        return np.linalg.solve(m, np.broadcast_to(rhs, m.shape[:-1] + rhs.shape[-1:]))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "site response is singular at a requested frequency") from exc
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """CSV with LF endings: the header line, then each row of numbers at 12
+    significant digits.  ``rows`` may be a generator; rows are written as
+    they come."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+def _write_json(path, doc, sort_keys: bool = False) -> str:
+    """Two-space indented JSON text of ``doc``; written with a final LF when
+    ``path`` is given."""
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    if path is not None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text + "\n")
+    return text
 
 
 @dataclass(frozen=True)
@@ -342,7 +384,8 @@ def config_to_dict(config: ArrayConfig) -> dict:
     }
 
 
-def config_from_dict(doc: dict) -> ArrayConfig:
+def _check_schema(doc) -> dict:
+    """``doc`` itself, once it is a JSON object of the supported schema."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     version = doc.get("schema_version")
@@ -350,6 +393,26 @@ def config_from_dict(doc: dict) -> ArrayConfig:
         raise ConfigError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION!r})"
         )
+    return doc
+
+
+def _read_doc(path) -> dict:
+    """Parse a JSON config file and check its schema; every failure is a
+    ConfigError (malformed JSON with its line and column)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            doc = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _check_schema(doc)
+
+
+def config_from_dict(doc: dict) -> ArrayConfig:
+    _check_schema(doc)
     for key in ("n_sites", "profile"):
         if key not in doc:
             raise ConfigError(f"config is missing required field {key!r}")
@@ -371,13 +434,4 @@ def config_from_dict(doc: dict) -> ArrayConfig:
 
 def load_config(path) -> ArrayConfig:
     """Read and validate a JSON config file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(_read_doc(path))

@@ -10,14 +10,14 @@ channels show up as sub-unitarity.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams, _solve
+from .core import (SingularMatrixError, SiteParams, _resolvent, _three_mode,
+                   _write_csv, _write_json)
 
 __all__ = [
     "LossySite",
@@ -129,21 +129,14 @@ def scattering_two_sided(site: LossySite, omega) -> BiScatter:
     inputs; intrinsic-loss and mechanical-bath channels enter only the
     linewidths.
     """
-    w = np.asarray(omega, dtype=float)
     s = site.site
-    a = np.array([
-        [-site.total1 / 2, 0, -1j * s.g1],
-        [0, -site.total2 / 2, -1j * s.g2],
-        [-1j * s.g1, -1j * s.g2, -s.gamma / 2],
-    ])
+    a = _three_mode(s.g1, s.g2, site.total1, site.total2, s.gamma)
     b = np.array([
         [np.sqrt(site.kappa_r1), 0, np.sqrt(site.kappa_l1), 0],
         [0, np.sqrt(site.kappa_r2), 0, np.sqrt(site.kappa_l2)],
         [0, 0, 0, 0],
     ])
-    m = a + 1j * w[..., None, None] * np.eye(3)
-    x = _solve(m, np.broadcast_to(b, m.shape[:-1] + (4,)))
-    return BiScatter(matrix=-np.eye(4) - np.swapaxes(b, -1, -2) @ x)
+    return BiScatter(matrix=-np.eye(4) - b.T @ _resolvent(a, b, omega))
 
 
 def _inv2(m: np.ndarray, what: str) -> np.ndarray:
@@ -318,15 +311,9 @@ def backscatter_alpha_fit(table: Sequence[Tuple[float, float]]) -> dict:
 
 def sweep_to_csv(rows: Sequence[Tuple[float, float]], path,
                  omega: float = 0.0) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("param,omega,abs2_t21\n")
-        for value, eff in rows:
-            fh.write(f"{value:.12g},{omega:.12g},{eff:.12g}\n")
+    _write_csv(path, "param,omega,abs2_t21",
+               ((value, omega, eff) for value, eff in rows))
 
 
 def alpha_fit_to_json(fit: dict, path=None) -> str:
-    text = json.dumps(fit, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    return text
+    return _write_json(path, fit, sort_keys=True)

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayConfig, FrequencyGrid, SiteParams, _solve, materialize_sites
-from .cascade import (Spectrum, _entries, _mul2, _spectrum_from_sites,
-                      extract_bandwidth)
+from .core import (ArrayConfig, FrequencyGrid, SiteParams, _resolvent,
+                   _three_mode, _write_csv, materialize_sites)
+from .cascade import Spectrum, _entries, _mul2, array_transfer, extract_bandwidth
 from .transducer import BogoliubovSite, scattering_bogoliubov, scattering_full
 
 try:
@@ -70,19 +70,12 @@ def noise_coupling_vector(sites: Sequence[SiteParams], j: int, omega) -> np.ndar
 
 
 def _coupling_vector(site: SiteParams, omega) -> np.ndarray:
-    w = np.asarray(omega, dtype=float)
-    a = np.array([
-        [-site.kappa1 / 2, 0, -1j * site.g1],
-        [0, -site.kappa2 / 2, -1j * site.g2],
-        [-1j * site.g1, -1j * site.g2, -site.gamma / 2],
-    ])
-    e = np.array([0.0, 0.0, np.sqrt(site.gamma)], dtype=complex)
-    m = a + 1j * w[..., None, None] * np.eye(3)
-    x = _solve(m, np.broadcast_to(e, m.shape[:-1])[..., None])[..., 0]
-    v = np.empty(w.shape + (2,), dtype=complex)
-    v[..., 0] = -np.sqrt(site.kappa1) * x[..., 0]
-    v[..., 1] = -np.sqrt(site.kappa2) * x[..., 1]
-    return v
+    a = _three_mode(site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
+    # only the bath column: a full 3-port response costs about twice as much
+    bath = np.array([[0.0], [0.0], [np.sqrt(site.gamma)]], dtype=complex)
+    x = _resolvent(a, bath, omega)[..., 0]
+    return np.stack([-np.sqrt(site.kappa1) * x[..., 0],
+                     -np.sqrt(site.kappa2) * x[..., 1]], axis=-1)
 
 
 def added_noise_spectrum(config: ArrayConfig, grid: FrequencyGrid) -> NoiseSpectrum:
@@ -141,25 +134,28 @@ def integrated_added_noise(config: ArrayConfig,
     """
     sites = materialize_sites(config)
     if window is None:
-        window = _conversion_window(sites, band_grid)
-    lo, hi = window
-    if not hi > lo:
-        raise ValueError("integration window must have positive width")
+        window = _band_window(lambda w: array_transfer(sites, w)[..., 1, 0],
+                              band_grid, 0.0)
 
     def density(w):
         return np.stack(_added_noise_terms(sites, w, config.n_bar))
 
-    return _adaptive_trapezoid(density, lo, hi)
+    return _adaptive_trapezoid(density, *window)
 
 
-def _conversion_window(sites, band_grid):
-    if band_grid is None:
-        band_grid = FrequencyGrid(-1.5, 1.5, 3001)
-    fwhm = extract_bandwidth(_spectrum_from_sites(sites, band_grid)).fwhm
-    return -fwhm / 2, fwhm / 2
+def _band_window(t21_at, grid, center):
+    """center -+ fwhm/2 of the conversion amplitude ``t21_at(omega)``, swept
+    over ``grid`` (default: center -+ 1.5 at 3001 points) and refined."""
+    if grid is None:
+        grid = FrequencyGrid(center - 1.5, center + 1.5, 3001)
+    sp = Spectrum(grid=grid, t21=t21_at(grid.points()), evaluator=t21_at)
+    fwhm = extract_bandwidth(sp).fwhm
+    return center - fwhm / 2, center + fwhm / 2
 
 
 def _adaptive_trapezoid(f, lo, hi, rtol=1e-4, max_doublings=12):
+    if not hi > lo:
+        raise ValueError("integration window must have positive width")
     n = 65
     w = np.linspace(lo, hi, n)
     vals = f(w)
@@ -186,9 +182,8 @@ def stokes_noise_spectrum(config: ArrayConfig, omega_m: float,
     """
     sites = materialize_sites(config)
     _warn_unresolved(sites, omega_m)
-    t = _bogoliubov_cascade(sites, omega_m, grid.points())
-    density = np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
-    return StokesSpectrum(grid=grid, density=density)
+    return StokesSpectrum(grid=grid,
+                          density=_stokes_density(sites, omega_m, grid.points()))
 
 
 def _warn_unresolved(sites, omega_m):
@@ -208,6 +203,11 @@ def _bogoliubov_cascade(sites, omega_m, w):
     return t
 
 
+def _stokes_density(sites, omega_m, w):
+    t = _bogoliubov_cascade(sites, omega_m, w)
+    return np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
+
+
 def integrated_stokes_noise(config: ArrayConfig, omega_m: float,
                             window: Optional[tuple] = None,
                             band_grid: Optional[FrequencyGrid] = None) -> float:
@@ -215,38 +215,18 @@ def integrated_stokes_noise(config: ArrayConfig, omega_m: float,
     sites = materialize_sites(config)
     _warn_unresolved(sites, omega_m)
     if window is None:
-        if band_grid is None:
-            band_grid = FrequencyGrid(omega_m - 1.5, omega_m + 1.5, 3001)
-        sp = Spectrum(
-            grid=band_grid,
-            t21=_bogoliubov_cascade(sites, omega_m, band_grid.points())[..., 1, 0],
-            evaluator=lambda w: _bogoliubov_cascade(sites, omega_m, w)[..., 1, 0],
-        )
-        fwhm = extract_bandwidth(sp).fwhm
-        window = (omega_m - fwhm / 2, omega_m + fwhm / 2)
-    lo, hi = window
-    if not hi > lo:
-        raise ValueError("integration window must have positive width")
-
-    def density(w):
-        t = _bogoliubov_cascade(sites, omega_m, w)
-        return np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
-
-    return float(_adaptive_trapezoid(density, lo, hi))
+        window = _band_window(
+            lambda w: _bogoliubov_cascade(sites, omega_m, w)[..., 1, 0],
+            band_grid, omega_m)
+    return float(_adaptive_trapezoid(
+        lambda w: _stokes_density(sites, omega_m, w), *window))
 
 
 def noise_to_csv(spectrum: NoiseSpectrum, path) -> None:
-    w = spectrum.grid.points()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega,s_add_port1,s_add_port2\n")
-        for i in range(len(w)):
-            row = (w[i], spectrum.s_add_1[i], spectrum.s_add_2[i])
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    _write_csv(path, "omega,s_add_port1,s_add_port2",
+               zip(spectrum.grid.points(), spectrum.s_add_1, spectrum.s_add_2))
 
 
 def stokes_to_csv(spectrum: StokesSpectrum, path) -> None:
-    w = spectrum.grid.points()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega,stokes_density\n")
-        for i in range(len(w)):
-            fh.write(f"{w[i]:.12g},{spectrum.density[i]:.12g}\n")
+    _write_csv(path, "omega,stokes_density",
+               zip(spectrum.grid.points(), spectrum.density))

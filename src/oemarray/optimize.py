@@ -10,17 +10,16 @@ steepness.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .core import FrequencyGrid, SpectrumError
+from .core import FrequencyGrid, SpectrumError, _write_json
 from .transducer import EliminatedSite
-from .cascade import array_transfer, eliminated_spectrum, extract_bandwidth
+from .cascade import _halfmax, array_transfer, eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -99,16 +98,10 @@ def _grid_metrics(fracs: np.ndarray,
     goes through the bisection-refined extractor.
     """
     w = _grid_for(problem).points()
-    t21 = array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]
-    v = np.abs(t21) ** 2
-    peak = float(v.max())
-    if peak <= 0:
-        return 0.0, 0.0
-    half = peak / 2
-    above = v >= half
-    idx = np.flatnonzero(above)
-    i0, i1 = int(idx[0]), int(idx[-1])
-    if i0 == 0 or i1 == len(v) - 1:
+    v = np.abs(array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]) ** 2
+    try:
+        _, half, i0, i1, pb_min = _halfmax(v)
+    except SpectrumError:
         return 0.0, 0.0
 
     def cross(ia, ib):
@@ -118,13 +111,6 @@ def _grid_metrics(fracs: np.ndarray,
 
     lo = cross(i0 - 1, i0)
     hi = cross(i1, i1 + 1)
-    interior = np.arange(1, len(v) - 1)
-    is_max = (v[interior] >= v[interior - 1]) & (v[interior] >= v[interior + 1])
-    peaks = interior[is_max & above[interior]]
-    if len(peaks) == 0:
-        pb_min = peak
-    else:
-        pb_min = float(v[peaks[0]:peaks[-1] + 1].min())
     return float(hi - lo), pb_min
 
 
@@ -138,15 +124,13 @@ def eliminated_bandwidth(gamma1_per_site: Sequence[float],
     fracs = np.asarray(gamma1_per_site, dtype=float) / gamma_total
     problem = OptimizationProblem(n_sites=len(fracs), gamma_total=gamma_total,
                                   min_efficiency=1.0)
+    sites = _sites_for(fracs, gamma_total)
     for widen in range(3):
-        grid = _grid_for(problem, widen)
         try:
-            return extract_bandwidth(eliminated_spectrum(
-                _sites_for(fracs, gamma_total), grid))
+            return extract_bandwidth(eliminated_spectrum(sites, _grid_for(problem, widen)))
         except SpectrumError:
             if widen == 2:
                 raise
-    raise AssertionError("unreachable")
 
 
 def _start_profiles(problem: OptimizationProblem, n_random: int,
@@ -352,7 +336,5 @@ def result_to_json(problem: OptimizationProblem, result: OptimizationResult,
         "beta_fit": (fit_tanh_beta(result.gamma1_per_site, problem.gamma_total)
                      if problem.n_sites >= 3 else None),
     }
-    if path is not None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload, sort_keys=True)
     return payload

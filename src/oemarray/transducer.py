@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams, _solve
+from .core import SingularMatrixError, SiteParams, _resolvent
 
 __all__ = [
     "EliminatedSite",
@@ -73,11 +73,12 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
 
     Every entry is a ratio of cubics in the rates and the frequency, so
     scaling all of them by one power of two leaves it unchanged, exactly.
-    When the denominator falls below the normal floating-point range (a
-    vanishing mechanical linewidth or coupling), the rates are lifted that
-    way before evaluation: subnormal rounding would otherwise break
-    passivity, and numpy's complex division, which forms 1/den, would
-    overflow.
+    At frequencies where the denominator falls below the normal
+    floating-point range (a vanishing mechanical linewidth or coupling), the
+    rates are lifted that way before evaluation: subnormal rounding would
+    otherwise break passivity, and numpy's complex division, which forms
+    1/den, would overflow.  Only those frequencies are lifted; the others
+    could overflow if they were.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -85,16 +86,22 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
-    den, num11, num22, num12 = _full_terms(*rates, w)
-    if np.any(np.abs(den) < _TINY):
+    terms = _full_terms(*rates, w)
+    tiny = np.abs(terms[0]) < _TINY
+    if np.any(tiny):
         # largest rate to ~2**300: cubic terms stay far from overflow, and a
         # product with a rate down to the smallest subnormal becomes normal
         lift = 300 - np.frexp(max(rates))[1]
-        den, num11, num22, num12 = _full_terms(
-            *np.ldexp(np.array(rates, dtype=float), lift), np.ldexp(w, lift))
-        if np.any(den == 0):
+        lifted = _full_terms(*np.ldexp(np.array(rates, dtype=float), lift),
+                             np.ldexp(w[tiny], lift))
+        if np.any(lifted[0] == 0):
             raise SingularMatrixError(
                 "scattering matrix is singular at a requested frequency")
+        terms = [np.array(np.broadcast_to(t, w.shape), dtype=complex)
+                 for t in terms]
+        for t, value in zip(terms, lifted):
+            t[tiny] = value
+    den, num11, num22, num12 = terms
 
     s = np.empty(w.shape + (2, 2), dtype=complex)
     s[..., 0, 0] = -1 + num11 / den
@@ -221,10 +228,7 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     two ports to the last two quantify sideband-induced amplification.
     """
     a, b = _bogoliubov_state_space(bsite)
-    w = np.asarray(omega, dtype=float)
-    m = a + 1j * w[..., None, None] * np.eye(6)
-    rhs = np.broadcast_to(b.astype(complex), m.shape[:-2] + b.shape)
-    return -np.eye(4) - b.T @ _solve(m, rhs)
+    return -np.eye(4) - b.T @ _resolvent(a, b, omega)
 
 
 def matrix_to_json(m: np.ndarray) -> list:

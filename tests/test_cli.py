@@ -5,6 +5,7 @@ import json
 import pytest
 
 import oemarray.cli as cli
+from oemarray import ConfigError, load_config
 from oemarray.cli import main
 from oemarray.optimize import OptimizationResult
 
@@ -99,6 +100,22 @@ class TestExitCodes:
     def test_unreadable_config_rejected(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"schema_version": "1", "n_sites": 3,,}',  # malformed
+        '[1, 2]',                                    # not an object
+        '{"schema_version": "2", "n_sites": 3}',     # wrong version
+        None,                                        # unreadable path
+    ])
+    def test_config_errors_match_load_config(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
 
     def test_numerical_failure_maps_to_three(self, tmp_path, capsys):
         # zero coupling and zero mechanical damping make the site matrix

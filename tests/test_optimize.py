@@ -7,6 +7,7 @@ from oemarray.core import FrequencyGrid
 from oemarray.transducer import EliminatedSite
 from oemarray.cascade import eliminated_spectrum, extract_bandwidth
 from oemarray.optimize import (OptimizationProblem, OptimizationResult,
+                               _grid_for, _grid_metrics, _sites_for,
                                eliminated_bandwidth, fit_tanh_beta,
                                grid_oracle, optimize_couplings,
                                result_to_json)
@@ -112,6 +113,23 @@ class TestGridOracle:
     def test_rejects_larger_arrays(self):
         with pytest.raises(ValueError, match="n_sites <= 3"):
             grid_oracle(OptimizationProblem(n_sites=4, gamma_total=0.02))
+
+
+class TestSurrogate:
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_agrees_with_refined_extractor_on_its_grid(self, n):
+        # the search's linearly interpolated half-max against the bisected
+        # one: same samples, so the same ripple floor and a width within a
+        # grid step
+        problem = OptimizationProblem(n_sites=n, gamma_total=GAMMA, min_efficiency=0.9)
+        grid = _grid_for(problem)
+        step = grid.points()[1] - grid.points()[0]
+        d = np.arange(1, n + 1) / (n + 1)
+        for fracs in (np.full(n, 0.5), d, 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)):
+            fwhm, pb_min = _grid_metrics(fracs, problem)
+            bw = extract_bandwidth(eliminated_spectrum(_sites_for(fracs, GAMMA), grid))
+            assert pb_min == bw.passband_min
+            assert abs(fwhm - bw.fwhm) <= step
 
 
 class TestOptimizerInvariants:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -70,6 +72,18 @@ class TestScatteringFull:
         assert batch.shape == (3, 2, 2)
         for i, wi in enumerate(w):
             np.testing.assert_allclose(batch[i], scattering_full(site, wi), rtol=1e-15)
+
+    def test_subnormal_lift_leaves_other_frequencies_alone(self):
+        # the denominator is subnormal at omega = 0 only; lifting the whole
+        # array once overflowed omega = 1 to NaN
+        site = SiteParams(g1=0.0, g2=0.0, kappa1=1e-110, kappa2=1e-110, gamma=1e-110)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = scattering_full(site, np.array([0.0, 1.0]))
+            single = scattering_full(site, 1.0)
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch[1], single)
+        np.testing.assert_array_equal(batch[0], np.eye(2))
 
     def test_singular_denominator_guard(self):
         site = SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0)
