@@ -10,6 +10,9 @@ cavity linewidths.
 
 ``array_transfer`` is the one 2x2 fold; spectra, evaluators, the optimizer's
 surrogate and the noise cascade (through its entrywise helpers) all use it.
+Half-max crossings are refined by exact batched bisection: the result is
+bit for bit that of a scalar bisection loop, but each round evaluates the
+spectrum's evaluator once, on an array of candidate midpoints.
 
 Free propagation between sites is deliberately absent here: with equal
 phases in both lanes it drops out of every conversion magnitude.  The
@@ -57,12 +60,15 @@ class Spectrum:
 
     ``evaluator`` recomputes T21 of the same model at arbitrary
     frequencies; bandwidth extraction uses it so that reported widths do
-    not depend on the grid spacing.
+    not depend on the grid spacing.  It must accept an array of
+    frequencies and return T21 of the same shape, and accept a scalar
+    too.  Bandwidth extraction relies on it giving the same bits at a
+    frequency whether that frequency is passed alone or inside an array.
     """
 
     grid: FrequencyGrid
     t21: np.ndarray
-    evaluator: Optional[Callable[[float], complex]] = None
+    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,13 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
 
     The width is measured between the outermost crossings of half the
     global maximum of |T21|^2, each refined by bisection on the
-    spectrum's evaluator to 1e-6 (in grid frequency units).  Ripple
+    spectrum's evaluator to 1e-6 (in grid frequency units).  The
+    bisection is batched: the evaluator is called at the two grid points
+    around each crossing, then once per round on an array of midpoints,
+    which gives the scalar loop's result bit for bit.  When the evaluator
+    disagrees with the samples so that a pair of grid points does not
+    bracket half-max, a RuntimeWarning is emitted and the nearer point is
+    used.  Ripple
     inside the passband is reported as ``passband_min``, the smallest
     |T21|^2 between the outermost local maxima that exceed half-max.
     """
@@ -141,11 +153,9 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
     if spectrum.evaluator is None:
         raise ValueError("spectrum has no evaluator; cannot refine crossings")
 
-    def excess(x: float) -> float:
-        return abs(complex(spectrum.evaluator(x))) ** 2 - half
-
-    lo = _bisect_crossing(excess, w[i_first - 1], w[i_first])
-    hi = _bisect_crossing(excess, w[i_last], w[i_last + 1])
+    lo, hi = _bisect_crossings(
+        spectrum.evaluator, half,
+        [(w[i_first - 1], w[i_first]), (w[i_last], w[i_last + 1])])
     return BandwidthResult(
         fwhm=hi - lo, omega_lo=lo, omega_hi=hi,
         peak_value=peak, passband_min=passband_min)
@@ -185,26 +195,82 @@ def _halfmax(v: np.ndarray):
     return peak, half, i_first, i_last, passband_min
 
 
-def _bisect_crossing(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-6) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if fa * fb > 0:
-        # the grid bracketed the crossing; fall back to the closer endpoint
-        return a if abs(fa) < abs(fb) else b
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0:
-            return m
-        if fa * fm < 0:
-            b, fb = m, fm
+_TREE_DEPTH = 7
+
+
+def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
+    """Crossings of |T21|^2 = ``half`` in the (lower, upper) ``brackets``.
+
+    Gives bit for bit what bisecting each bracket with one scalar
+    ``evaluator`` call per midpoint gives, from fewer calls.  The two ends
+    of each bracket are scalar calls, and they decide whether the bracket
+    holds; when it does not, a RuntimeWarning names the crossing and the
+    nearer end is returned.  Then each round evaluates, for every open
+    bracket, all midpoints the next ``_TREE_DEPTH`` steps could visit, in
+    one array call, and replays the loop's decisions through them.  This is
+    exact because the cascade gives the same bits at a scalar frequency as
+    at that frequency inside an array.
+    """
+    def excess(value) -> float:
+        return abs(complex(value)) ** 2 - half
+
+    roots = [None] * len(brackets)
+    open_ = {}
+    for k, (a, b) in enumerate(brackets):
+        fa, fb = excess(evaluator(a)), excess(evaluator(b))
+        if fa == 0:
+            roots[k] = a
+        elif fb == 0:
+            roots[k] = b
+        elif fa * fb > 0:
+            warnings.warn(
+                f"{('lower', 'upper')[k]} half-max crossing is not bracketed "
+                f"by [{float(a)!r}, {float(b)!r}]: |T21|^2 - half is "
+                f"{fa:.3g} and {fb:.3g} there; returning the nearer end",
+                RuntimeWarning, stacklevel=3)
+            roots[k] = a if abs(fa) < abs(fb) else b
+        elif b - a > tol:
+            open_[k] = (a, fa, b, fb)
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+            roots[k] = 0.5 * (a + b)
+    while open_:
+        trees = {k: _midpoints(a, b, tol) for k, (a, _, b, _) in open_.items()}
+        values = evaluator(np.concatenate(list(trees.values())))
+        offset = 0
+        for k, mids in trees.items():
+            a, fa, b, fb = open_.pop(k)
+            i = 0
+            while i < len(mids) and b - a > tol:
+                m, fm = mids[i], excess(values[offset + i])
+                if fm == 0:
+                    roots[k] = m
+                    break
+                if fa * fm < 0:
+                    b, fb, i = m, fm, 2 * i + 1
+                else:
+                    a, fa, i = m, fm, 2 * i + 2
+            else:
+                if b - a > tol:
+                    open_[k] = (a, fa, b, fb)
+                else:
+                    roots[k] = 0.5 * (a + b)
+            offset += len(mids)
+    return roots
+
+
+def _midpoints(a, b, tol):
+    """Every midpoint bisecting [a, b] can visit in its next steps, formed as
+    the loop forms them, in heap order: the halves of node i start at nodes
+    2i+1 (lower) and 2i+2 (upper).  The depth is ``_TREE_DEPTH``, or the
+    number of halvings that bring b - a to ``tol`` when that is fewer."""
+    depth = min(_TREE_DEPTH, math.ceil(math.log2((b - a) / tol)))
+    lo, hi, levels = np.array([a]), np.array([b]), []
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        lo = np.column_stack([lo, mid]).ravel()
+        hi = np.column_stack([mid, hi]).ravel()
+    return np.concatenate(levels)
 
 
 def bandwidth_analytic(g: float, kappa: float, n_sites: int) -> float:

@@ -1,5 +1,6 @@
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from oemarray import (
 )
 from oemarray.cascade import (
     Spectrum,
+    _bisect_crossings,
+    _halfmax,
     array_transfer,
     bandwidth_analytic,
     bandwidth_to_json,
@@ -166,6 +169,145 @@ class TestExtractBandwidth:
         t21 = 1.0 / (1 + (w / 0.1) ** 2) + 0j
         with pytest.raises(ValueError, match="evaluator"):
             extract_bandwidth(Spectrum(grid=grid, t21=t21))
+
+
+def _bisect_crossing_reference(f, a, b, tol=1e-6):
+    # the scalar loop extract_bandwidth used before its batched replay,
+    # kept verbatim as the bit-for-bit reference
+    fa, fb = f(a), f(b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if fa * fb > 0:
+        # the grid bracketed the crossing; fall back to the closer endpoint
+        return a if abs(fa) < abs(fb) else b
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        fm = f(m)
+        if fm == 0:
+            return m
+        if fa * fm < 0:
+            b, fb = m, fm
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def _reference_crossings(spectrum):
+    """(omega_lo, omega_hi) from one scalar evaluator call per midpoint."""
+    w = spectrum.grid.points()
+    _, half, i_first, i_last, _ = _halfmax(np.abs(spectrum.t21) ** 2)
+
+    def excess(x):
+        return abs(complex(spectrum.evaluator(x))) ** 2 - half
+
+    return (_bisect_crossing_reference(excess, w[i_first - 1], w[i_first]),
+            _bisect_crossing_reference(excess, w[i_last], w[i_last + 1]))
+
+
+class _CountingEvaluator:
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.sizes = []
+        self.array_calls = 0
+
+    def __call__(self, w):
+        self.sizes.append(np.size(w))
+        self.array_calls += np.ndim(w) > 0
+        return self.evaluator(w)
+
+
+def _eliminated_sites(config):
+    return [EliminatedSite(4 * s.g1 ** 2 / s.kappa1, 4 * s.g2 ** 2 / s.kappa2)
+            for s in materialize_sites(config)]
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("kind", ["full", "eliminated"])
+    @pytest.mark.parametrize("n", [1, 3, 20, 200])
+    @pytest.mark.parametrize("kappa2", [1.0, 10.0])
+    def test_bit_identical_to_scalar_loop(self, kind, n, kappa2):
+        config = tanh_config(n, kappa2=kappa2)
+        # the eliminated picture has no cavity cutoff, so its band at
+        # N = 200 outgrows +-2.5
+        width = 0.3 if n <= 3 else 10.0 if (kind, n) == ("eliminated", 200) else 2.5
+        for pts in (601, 1201, 2001):
+            grid = FrequencyGrid(-width, width, pts)
+            if kind == "full":
+                sp = conversion_spectrum(config, grid)
+            else:
+                sp = eliminated_spectrum(_eliminated_sites(config), grid)
+            lo, hi = _reference_crossings(sp)
+            with warnings.catch_warnings():
+                # every bracket here holds, so no D5 warning
+                warnings.simplefilter("error")
+                bw = extract_bandwidth(sp)
+            assert bw.omega_lo == lo
+            assert bw.omega_hi == hi
+            assert bw.fwhm == hi - lo
+
+    def test_midpoint_on_exact_root(self):
+        # |T|^2 is 0, 1/4 and 1 below, at and above r: the ninth midpoint of
+        # [0, 1] hits the root exactly, in the second round
+        r = 0.5 - 2.0 ** -9
+
+        def t21_at(w):
+            w = np.asarray(w, dtype=float)
+            return np.where(w < r, 0.0, np.where(w == r, 0.5, 1.0)) + 0j
+
+        ref = _bisect_crossing_reference(
+            lambda x: abs(complex(t21_at(x))) ** 2 - 0.25, 0.0, 1.0)
+        assert ref == r
+        counted = _CountingEvaluator(t21_at)
+        assert _bisect_crossings(counted, 0.25, [(0.0, 1.0)]) == [r]
+        assert counted.array_calls == 2
+
+    def test_bracket_already_within_tolerance(self):
+        a, b = 0.1, 0.1 + 5e-7
+        counted = _CountingEvaluator(lambda w: np.sqrt(np.asarray(w)) + 0j)
+        assert _bisect_crossings(counted, 0.1 + 2.5e-7, [(a, b)]) == [0.5 * (a + b)]
+        assert counted.sizes == [1, 1]
+
+    def test_coarse_grid_takes_three_rounds(self):
+        # a grid step of 0.04 needs 16 halvings to reach 1e-6: 7 + 7 + 2
+        sp = eliminated_spectrum([EliminatedSite(0.25, 0.25)],
+                                 FrequencyGrid(-2.0, 2.0, 101))
+        lo, hi = _reference_crossings(sp)
+        counted = _CountingEvaluator(sp.evaluator)
+        sp.evaluator = counted
+        bw = extract_bandwidth(sp)
+        assert (bw.omega_lo, bw.omega_hi) == (lo, hi)
+        assert counted.array_calls >= 3
+
+    def test_readme_spectrum_evaluator_calls(self):
+        # the README's N = 200 spectrum: four scalar bracket ends and two
+        # array rounds, where the scalar loop made about 30 calls
+        sp = conversion_spectrum(tanh_config(200), FrequencyGrid(-2.5, 2.5, 1201))
+        counted = _CountingEvaluator(sp.evaluator)
+        sp.evaluator = counted
+        extract_bandwidth(sp)
+        assert len(counted.sizes) <= 6
+        assert counted.array_calls <= 2
+        assert max(counted.sizes) <= 2 * 127
+
+    def test_failed_bracket_warns_and_keeps_nearer_end(self):
+        grid = FrequencyGrid(-0.5, 0.5, 501)
+        w = grid.points()
+        t21 = 1.0 / (1 + (w / 0.1) ** 2) + 0j
+        sp = Spectrum(grid=grid, t21=t21, evaluator=lambda x: np.ones_like(x))
+        _, _, i_first, i_last, _ = _halfmax(np.abs(t21) ** 2)
+        with pytest.warns(RuntimeWarning) as record:
+            bw = extract_bandwidth(sp)
+        messages = [str(r.message) for r in record]
+        assert any(m.startswith("lower half-max crossing is not bracketed by "
+                                f"[{float(w[i_first - 1])!r}, {float(w[i_first])!r}]")
+                   for m in messages)
+        assert any(m.startswith("upper half-max crossing is not bracketed")
+                   for m in messages)
+        # equal excess at both ends: the loop's tie goes to the upper end
+        assert bw.omega_lo == w[i_first]
+        assert bw.omega_hi == w[i_last + 1]
 
 
 class TestBandwidthAnalytic:
