@@ -22,6 +22,7 @@ lossy two-sided model reinstates it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -204,10 +205,11 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
     Gives bit for bit what bisecting each bracket with one scalar
     ``evaluator`` call per midpoint gives, from fewer calls.  The two ends
     of each bracket are scalar calls, and they decide whether the bracket
-    holds; when it does not, a RuntimeWarning names the crossing and the
-    nearer end is returned.  Then each round evaluates, for every open
-    bracket, all midpoints the next ``_TREE_DEPTH`` steps could visit, in
-    one array call, and replays the loop's decisions through them.  This is
+    holds; when it does not, the nearer end is returned, with a
+    RuntimeWarning naming the crossing unless that end is within rounding
+    of half-max.  Then each round evaluates, for every open bracket, all
+    midpoints the next ``_TREE_DEPTH`` steps could visit, in one array
+    call, and replays the loop's decisions through them.  This is
     exact because the cascade gives the same bits at a scalar frequency as
     at that frequency inside an array.
     """
@@ -223,11 +225,14 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
         elif fb == 0:
             roots[k] = b
         elif fa * fb > 0:
-            warnings.warn(
-                f"{('lower', 'upper')[k]} half-max crossing is not bracketed "
-                f"by [{float(a)!r}, {float(b)!r}]: |T21|^2 - half is "
-                f"{fa:.3g} and {fb:.3g} there; returning the nearer end",
-                RuntimeWarning, stacklevel=3)
+            # samples and evaluator may round |T21| differently, so an end
+            # within rounding of half-max is a crossing, not a failed bracket
+            if min(abs(fa), abs(fb)) > 4 * sys.float_info.epsilon * half:
+                warnings.warn(
+                    f"{('lower', 'upper')[k]} half-max crossing is not "
+                    f"bracketed by [{float(a)!r}, {float(b)!r}]: |T21|^2 - half "
+                    f"is {fa:.3g} and {fb:.3g} there; returning the nearer end",
+                    RuntimeWarning, stacklevel=3)
             roots[k] = a if abs(fa) < abs(fb) else b
         elif b - a > tol:
             open_[k] = (a, fa, b, fb)

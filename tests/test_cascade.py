@@ -29,6 +29,7 @@ from oemarray.cascade import (
     spectrum_to_csv,
     waveguide_dispersion,
 )
+from oemarray.optimize import eliminated_bandwidth
 from oemarray.transducer import (
     EliminatedSite,
     offres_coefficients,
@@ -308,6 +309,15 @@ class TestBatchedBisection:
         # equal excess at both ends: the loop's tie goes to the upper end
         assert bw.omega_lo == w[i_first]
         assert bw.omega_hi == w[i_last + 1]
+
+    def test_end_on_halfmax_to_rounding_is_silent(self):
+        # the samples (np.abs) put the grid point at -0.04 on or above
+        # half-max, the scalar evaluator (abs) 1.7e-16 below it: the
+        # crossing is that grid point, and nothing is wrong to warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bw = eliminated_bandwidth([0.28118072050439247 * 0.02], 0.02)
+        assert bw.omega_lo == -0.04000000000000001
 
 
 class TestBandwidthAnalytic:

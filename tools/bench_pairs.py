@@ -2,15 +2,15 @@
 
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
-        [--workloads spectra,optimize] [--pairs 10] [--seconds 32] \
-        [--first-seed 1] --out BENCH_<n>.json
+        [--workloads spectra,optimize] [--pairs 10] --out BENCH_<n>.json
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, with that checkout as the working
-directory, so each side imports its own ``src/`` and uses its own
+Pair S (S = 1, 2, ...) runs ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each checkout, with that checkout as the
+working directory, so each side imports its own ``src/`` and uses its own
 benchmark.  Both runs of a pair use the same seed; the side that runs first
-alternates (the parent on odd seeds).  The end-to-end metrics and their
-directions are read from CHANGE_DIR's ``BENCHMARK.json``.
+alternates (the parent on odd seeds).  The run length T (``run_seconds``)
+and the end-to-end metrics with their directions are read from CHANGE_DIR's
+``BENCHMARK.json``.
 
 The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
@@ -64,8 +64,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _quartiles(values: list) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -101,19 +99,21 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--workloads", default="spectra,optimize",
                         help="comma-separated workloads (default: %(default)s)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=32.0)
-    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs per workload, at least 2 (default: %(default)s)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    seconds, metrics = benchmark["run_seconds"], benchmark["end_to_end"]
     doc = {
         "description": (
             "Parent commit versus the change, end to end: alternating pairs of "
-            f"`python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
             "--trace 0`, each side in its own checkout, the same seed within a pair, "
             "the parent first on odd seeds."),
         "environment": environment(),
@@ -121,11 +121,11 @@ def main(argv=None) -> int:
     }
     for workload in args.workloads.split(","):
         pairs = []
-        for seed in range(args.first_seed, args.first_seed + args.pairs):
+        for seed in range(1, args.pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(dirs[side], workload, seed, args.seconds)
+                pair[side] = run_once(dirs[side], workload, seed, seconds)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} p50 {pair[side]['job_ms_p50']:.1f} ms tail "
