@@ -1,13 +1,15 @@
 """Command-line runs: every computation as a reproducible file-producing job.
 
-Each subcommand reads an optional JSON config, applies flag overrides, writes
-CSV/JSON data files plus exactly one run manifest, and reports through exit
-codes: 0 ok, 2 config problem, 3 numerical failure, 4 infeasible optimization.
+`main` is the run harness: it reads the optional JSON config, runs one
+subcommand, writes exactly one run manifest, and reports through exit codes:
+0 ok, 2 config problem, 3 numerical failure, 4 infeasible optimization.
+Subcommands apply flag overrides, compute, and write only their data files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -53,13 +55,13 @@ __all__ = ["main", "build_parser"]
 
 _DEFAULT_PROFILE = {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 4.5}
 
+# Peak bytes per grid point of the heaviest grid kernel, the 6x6 Bogoliubov
+# solve behind `stokes` (tracemalloc: 1866 at 2001 and 20001 points, for any N).
+_BYTES_PER_POINT = 1900
+
 
 # ---------------------------------------------------------------------------
 # config resolution: file -> dict, flags override, then validate
-
-def _doc_for(args) -> dict:
-    return _read_doc(args.config) if getattr(args, "config", None) else {}
-
 
 def _pick(args, attr: str, doc: dict, key: str, default):
     """Flag value if given, else config-file value, else default."""
@@ -111,9 +113,15 @@ def _resolve_grid(args, doc: dict, default_half_width: float,
     if omega_min is None:
         omega_min = 2 * center - omega_max
     try:
-        return FrequencyGrid(float(omega_min), float(omega_max), int(points))
+        grid = FrequencyGrid(float(omega_min), float(omega_max), int(points))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid frequency grid: {exc}") from exc
+    # half of physical memory, checked before any array is allocated
+    budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    if grid.n_points * _BYTES_PER_POINT > budget:
+        raise ConfigError(f"a grid of {grid.n_points} points is over the memory budget "
+                          f"({budget / 2**30:.3g} GiB at {_BYTES_PER_POINT} bytes per point)")
+    return grid
 
 
 def _grid_dict(grid: FrequencyGrid) -> dict:
@@ -146,9 +154,7 @@ def _write_manifest(out: str, command: str, config: dict, outputs: list,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_spectrum(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_spectrum(args, doc: dict):
     config = _resolve_array_config(args, doc)
     grid = _resolve_grid(args, doc, default_half_width=2.0, default_points=2001)
     sp = conversion_spectrum(config, grid)
@@ -157,15 +163,10 @@ def cmd_spectrum(args) -> int:
     json_path = f"{args.out}_bandwidth.json"
     spectrum_to_csv(sp, csv_path)
     bandwidth_to_json(bw, json_path)
-    _write_manifest(args.out, "spectrum",
-                    {"array": config_to_dict(config), "grid": _grid_dict(grid)},
-                    [csv_path, json_path], started)
-    return 0
+    return {"array": config_to_dict(config), "grid": _grid_dict(grid)}, [csv_path, json_path]
 
 
-def cmd_bandwidth_scan(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_bandwidth_scan(args, doc: dict):
     base = _resolve_array_config(args, doc)
     if base.profile.kind == "explicit":
         raise ConfigError("bandwidth-scan needs a parametric profile (linear or tanh)")
@@ -198,31 +199,20 @@ def cmd_bandwidth_scan(args) -> int:
     csv_path = f"{args.out}.csv"
     # rows stream to the file as each size finishes
     _write_csv(csv_path, header, (row(n) for n in range(n_lo, n_hi + 1)))
-
-    _write_manifest(args.out, "bandwidth-scan",
-                    {"array": config_to_dict(base), "grid": _grid_dict(grid),
-                     "n_min": n_lo, "n_max": n_hi, "asymmetric": asymmetric},
-                    [csv_path], started)
-    return 0
+    return ({"array": config_to_dict(base), "grid": _grid_dict(grid),
+             "n_min": n_lo, "n_max": n_hi, "asymmetric": asymmetric}, [csv_path])
 
 
-def cmd_noise(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_noise(args, doc: dict):
     config = _resolve_array_config(args, doc)
     grid = _resolve_grid(args, doc, default_half_width=2.0, default_points=2001)
     sp = added_noise_spectrum(config, grid)
     csv_path = f"{args.out}.csv"
     noise_to_csv(sp, csv_path)
-    _write_manifest(args.out, "noise",
-                    {"array": config_to_dict(config), "grid": _grid_dict(grid)},
-                    [csv_path], started)
-    return 0
+    return {"array": config_to_dict(config), "grid": _grid_dict(grid)}, [csv_path]
 
 
-def cmd_stokes(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_stokes(args, doc: dict):
     config = _resolve_array_config(args, doc)
     omega_m = float(_pick(args, "omega_m", doc, "omega_m", 10.0))
     grid = _resolve_grid(args, doc, default_half_width=1.5, default_points=2001,
@@ -230,16 +220,11 @@ def cmd_stokes(args) -> int:
     sp = stokes_noise_spectrum(config, omega_m, grid)
     csv_path = f"{args.out}.csv"
     stokes_to_csv(sp, csv_path)
-    _write_manifest(args.out, "stokes",
-                    {"array": config_to_dict(config), "grid": _grid_dict(grid),
-                     "omega_m": omega_m},
-                    [csv_path], started)
-    return 0
+    return ({"array": config_to_dict(config), "grid": _grid_dict(grid),
+             "omega_m": omega_m}, [csv_path])
 
 
-def cmd_loss(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_loss(args, doc: dict):
     config = _resolve_array_config(args, doc)
     param = _pick(args, "param", doc, "param", "kappa_int")
     if args.values is not None:
@@ -249,16 +234,11 @@ def cmd_loss(args) -> int:
     rows = efficiency_vs_loss(param, values, materialize_sites(config))
     csv_path = f"{args.out}.csv"
     sweep_to_csv(rows, csv_path)
-    _write_manifest(args.out, "loss",
-                    {"array": config_to_dict(config), "param": param,
-                     "values": [float(v) for v in values]},
-                    [csv_path], started)
-    return 0
+    return ({"array": config_to_dict(config), "param": param,
+             "values": [float(v) for v in values]}, [csv_path])
 
 
-def cmd_backscatter(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_backscatter(args, doc: dict):
     config = _resolve_array_config(args, doc)
     if args.ratios is not None:
         ratios = _parse_floats(args.ratios, "--ratios")
@@ -275,17 +255,12 @@ def cmd_backscatter(args) -> int:
         alpha_path = f"{args.out}_alpha.json"
         alpha_fit_to_json(fit, alpha_path)
         outputs.append(alpha_path)
-    _write_manifest(args.out, "backscatter",
-                    {"array": config_to_dict(config),
-                     "ratios": [float(r) for r in ratios], "zeta": zeta,
-                     "fit_alpha": fit_alpha},
-                    outputs, started)
-    return 0
+    return ({"array": config_to_dict(config), "ratios": [float(r) for r in ratios],
+             "zeta": zeta, "fit_alpha": fit_alpha}, outputs)
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
-    doc = _doc_for(args)
+def cmd_optimize(args, doc: dict):
+    """Also returns exit code 4 when no profile meets the passband floor."""
     n = int(_pick(args, "n", doc, "n_sites", 2))
     gamma_total = float(_pick(args, "gamma_total", doc, "gamma_total", 0.05))
     min_eff = float(_pick(args, "min_eff", doc, "min_efficiency", 0.99))
@@ -294,25 +269,20 @@ def cmd_optimize(args) -> int:
     workers = args.threads if args.threads is not None else 1
     if workers < 1:
         raise ConfigError("--threads must be >= 1")
-    try:
-        problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
-                                      min_efficiency=min_eff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
+                                  min_efficiency=min_eff)
     result = optimize_couplings(problem, n_random_starts=starts, seed=seed,
                                 workers=workers)
     json_path = f"{args.out}.json"
     result_to_json(problem, result, json_path)
-    _write_manifest(args.out, "optimize",
-                    {"problem": {"n_sites": n, "gamma_total": gamma_total,
-                                 "min_efficiency": min_eff},
-                     "seed": seed, "starts": starts, "threads": workers},
-                    [json_path], started)
+    config = {"problem": {"n_sites": n, "gamma_total": gamma_total,
+                          "min_efficiency": min_eff},
+              "seed": seed, "starts": starts, "threads": workers}
     if not result.converged:
         print(f"optimization infeasible: passband floor {result.passband_min:.6g} "
               f"< required {min_eff:.6g}", file=sys.stderr)
-        return 4
-    return 0
+        return config, [json_path], 4
+    return config, [json_path]
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The run harness.  ``cmd_x(args, doc)`` returns the manifest's ``(config,
+    outputs)``, plus an exit code when that is not 0; runs that exit 2 or 3
+    write no manifest."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        doc = _read_doc(args.config) if args.config else {}
+        config, outputs, *code = args.func(args, doc)
+        _write_manifest(args.out, args.command, config, outputs, started)
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularMatrixError, SpectrumError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

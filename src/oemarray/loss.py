@@ -270,19 +270,18 @@ def efficiency_vs_loss(param: str, values: Sequence[float],
     for value in values:
         if value < 0:
             raise ValueError("loss values must be nonnegative")
-        if param == "kappa_int":
-            lossy = [LossySite(site=s, kappa_int1=value, kappa_int2=value)
-                     for s in sites]
-            links = [CellLink()] * len(sites)
-            eff = float(conversion_efficiency(
-                lossy_array_scattering(lossy, links, 0.0)))
-        elif param == "epsilon":
-            lossy = [LossySite(site=s) for s in sites]
-            links = [CellLink.from_epsilon(value)] * len(sites)
-            eff = float(conversion_efficiency(
-                lossy_array_scattering(lossy, links, 0.0)))
-        else:
+        if param == "kappa_l":
             (_, eff), = backscatter_efficiency_table([value], sites)
+        else:
+            if param == "kappa_int":
+                lossy = [LossySite(site=s, kappa_int1=value, kappa_int2=value)
+                         for s in sites]
+                links = [CellLink()] * len(sites)
+            else:
+                lossy = [LossySite(site=s) for s in sites]
+                links = [CellLink.from_epsilon(value)] * len(sites)
+            eff = float(conversion_efficiency(
+                lossy_array_scattering(lossy, links, 0.0)))
         rows.append((float(value), eff))
     return rows
 

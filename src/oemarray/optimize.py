@@ -47,7 +47,6 @@ class OptimizationProblem:
     n_sites: int
     gamma_total: float
     min_efficiency: float = 0.99
-    symmetric: bool = True
 
     def __post_init__(self):
         if self.n_sites < 1:

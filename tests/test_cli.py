@@ -1,6 +1,7 @@
 """CLI runs: outputs, manifests, override precedence, and exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -153,6 +154,57 @@ class TestExitCodes:
         # the run still leaves its data and manifest behind
         assert json.loads((tmp_path / "stuck.json").read_text())["converged"] is False
         assert (tmp_path / "stuck_manifest.json").exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bandwidth-scan", "--n-min", "5", "--n-max", "3"], 2),
+        (["spectrum", "--n", "2", "--g", "0", "--points", "101"], 3),
+    ])
+    def test_failed_runs_write_no_manifest(self, tmp_path, argv, code):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == code
+        assert list(tmp_path.glob("*_manifest.json")) == []
+
+    def test_grid_over_memory_budget_rejected_before_running(self, tmp_path, monkeypatch,
+                                                             capsys):
+        budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+        monkeypatch.setattr(cli, "_BYTES_PER_POINT", budget // 1000)
+        rc = main(["spectrum", "--points", "1001", "--out", str(tmp_path / "big")])
+        assert rc == 2
+        assert "memory budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # the budget is half of physical memory: 1000 points still fit
+        assert main(["spectrum", "--points", "1000", "--out", str(tmp_path / "fits")]) == 0
+
+
+# one small run of every subcommand: data files written, manifest keys
+MANIFEST_RUNS = {
+    "spectrum": (["--n", "3", "--points", "101"], ["{}.csv", "{}_bandwidth.json"],
+                 {"array", "grid"}),
+    "bandwidth-scan": (["--n-min", "1", "--n-max", "2", "--points", "201"], ["{}.csv"],
+                       {"array", "grid", "n_min", "n_max", "asymmetric"}),
+    "noise": (["--n", "3", "--points", "51"], ["{}.csv"], {"array", "grid"}),
+    "stokes": (["--n", "2", "--gamma", "5e-5", "--points", "21"], ["{}.csv"],
+               {"array", "grid", "omega_m"}),
+    "loss": (["--n", "3", "--values", "0,0.01"], ["{}.csv"], {"array", "param", "values"}),
+    "backscatter": (["--n", "4", "--ratios", "0.02,0.05,0.1,0.15", "--fit-alpha"],
+                    ["{}.csv", "{}_alpha.json"], {"array", "ratios", "zeta", "fit_alpha"}),
+    "optimize": (["--n", "2", "--starts", "1"], ["{}.json"],
+                 {"problem", "seed", "starts", "threads"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_every_subcommand_writes_one_matching_manifest(tmp_path, command):
+    flags, outputs, config_keys = MANIFEST_RUNS[command]
+    out = str(tmp_path / "run")
+    assert main([command, *flags, "--out", out]) == 0
+    manifests = list(tmp_path.glob("*_manifest.json"))
+    assert manifests == [tmp_path / "run_manifest.json"]
+    doc = json.loads(manifests[0].read_text())
+    assert doc["command"] == command
+    assert doc["outputs"] == [o.format(out) for o in outputs]
+    written = sorted(str(p) for p in tmp_path.iterdir() if p not in manifests)
+    assert sorted(doc["outputs"]) == written
+    assert set(doc["config"]) == config_keys
 
 
 class TestBandwidthScan:

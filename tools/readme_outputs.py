@@ -5,11 +5,13 @@ Usage:
 
 Runs each command from the README's "Command line" section with OUTDIR as
 the working directory and the package imported from SRC (default: this
-checkout's ``src``).  With ``--compare``, every data file in OUTDIR
-(manifests are skipped, since they carry timings) is checked against the
-file of the same name in OTHERDIR and reported as "identical" or by the
-largest relative difference between corresponding numbers.  Exits 1 when a
-command fails or a compared file differs.  Standard library only.
+checkout's ``src``).  With ``--compare``, every data file in OUTDIR is
+checked against the file of the same name in OTHERDIR and reported as
+"identical" or by the largest relative difference between corresponding
+numbers.  Each run manifest is compared with ``duration_seconds`` removed,
+since that is the only field that carries a timing, and reported as
+identical or by the top-level keys that differ.  Exits 1 when a command
+fails or a compared file differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -104,15 +106,30 @@ def _max_rel_diff(a: list, b: list):
     return worst
 
 
+def _untimed_manifest(path: str) -> dict:
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc.pop("duration_seconds", None)
+    return doc
+
+
 def compare(outdir: str, otherdir: str) -> bool:
     ok = True
-    names = sorted(n for n in os.listdir(outdir)
-                   if not n.endswith("_manifest.json") and n.endswith((".csv", ".json")))
+    names = sorted(n for n in os.listdir(outdir) if n.endswith((".csv", ".json")))
     for name in names:
         mine, theirs = os.path.join(outdir, name), os.path.join(otherdir, name)
         if not os.path.isfile(theirs):
             print(f"{name}: missing in {otherdir}")
             ok = False
+            continue
+        if name.endswith("_manifest.json"):
+            a, b = _untimed_manifest(mine), _untimed_manifest(theirs)
+            keys = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+            if keys:
+                print(f"{name}: differs in {', '.join(keys)}")
+                ok = False
+            else:
+                print(f"{name}: identical apart from duration_seconds")
             continue
         with open(mine, "rb") as fa, open(theirs, "rb") as fb:
             if fa.read() == fb.read():
