@@ -33,6 +33,7 @@ from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _write_csv,
                    _write_json, materialize_sites)
 from .transducer import (
     EliminatedSite,
+    _empty22,
     offres_coefficients,
     scattering_eliminated,
     scattering_full,
@@ -85,9 +86,10 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
     """Ordered product S_N ... S_1 of single-site scattering matrices.
 
     Accepts full sites (SiteParams) or eliminated ones (EliminatedSite),
-    and a scalar or array of frequencies; returns ``np.shape(omega) + (2, 2)``.
-    The four entries are folded as separate arrays by elementwise
-    multiply-adds: matmul on 2x2 stacks calls BLAS once per point.
+    and a scalar or array of frequencies; returns ``np.shape(omega) + (2, 2)``,
+    laid out entry-major like the site kernels' results.  The four entries
+    are folded as separate arrays by elementwise multiply-adds: matmul on
+    2x2 stacks calls BLAS once per point.
     """
     if len(sites) == 0:
         raise ValueError("need at least one site")
@@ -97,7 +99,7 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
                   else scattering_full)
         s = _entries(kernel(site, omega))
         t = s if t is None else _mul2(s, t)
-    out = np.empty(np.shape(omega) + (2, 2), dtype=complex)
+    out = _empty22(np.shape(omega))
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t
     return out
 
@@ -186,9 +188,8 @@ def _halfmax(v: np.ndarray):
     if i_first == 0 or i_last == len(v) - 1:
         raise SpectrumError("no half-max crossing inside grid")
 
-    interior = np.arange(1, len(v) - 1)
-    is_local_max = (v[interior] >= v[interior - 1]) & (v[interior] >= v[interior + 1])
-    peaks = interior[is_local_max & above[interior]]
+    mid = v[1:-1]
+    peaks = np.flatnonzero((mid >= v[:-2]) & (mid >= v[2:]) & above[1:-1]) + 1
     if len(peaks) == 0:
         passband_min = peak
     else:

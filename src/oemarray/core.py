@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +81,20 @@ def _resolvent(a: np.ndarray, rhs: np.ndarray, omega) -> np.ndarray:
 def _write_csv(path, header: str, rows) -> None:
     """CSV with LF endings: the header line, then each row of numbers at 12
     significant digits.  ``rows`` may be a generator; rows are written as
-    they come."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+    they come, to a temporary file beside ``path`` that replaces it only
+    after the last row.  If producing a row fails, the temporary file is
+    removed and ``path`` is left as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(path, doc, sort_keys: bool = False) -> str:

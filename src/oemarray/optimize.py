@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -59,6 +59,13 @@ class OptimizationProblem:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """Best profile of a search.
+
+    ``evaluations`` counts surrogate evaluations: distinct clipped profiles
+    within each local search, summed over the starts (a profile the search
+    revisits is looked up, not computed again).
+    """
+
     gamma1_per_site: Tuple[float, ...]
     bandwidth: float
     passband_min: float
@@ -88,15 +95,17 @@ def _sites_for(fracs: np.ndarray, gamma_total: float) -> List[EliminatedSite]:
             for f in fracs]
 
 
-def _grid_metrics(fracs: np.ndarray,
-                  problem: OptimizationProblem) -> Tuple[float, float]:
+def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
+                  w: Optional[np.ndarray] = None) -> Tuple[float, float]:
     """(fwhm, passband_min) from the sampled spectrum alone.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
-    goes through the bisection-refined extractor.
+    goes through the bisection-refined extractor.  ``w`` is the points of
+    ``_grid_for(problem)``, built here when not given.
     """
-    w = _grid_for(problem).points()
+    if w is None:
+        w = _grid_for(problem).points()
     v = np.abs(array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]) ** 2
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
@@ -147,15 +156,22 @@ def _start_profiles(problem: OptimizationProblem, n_random: int,
 
 
 def _local_search(start: np.ndarray, problem: OptimizationProblem):
-    evals = 0
+    w = _grid_for(problem).points()
+    # surrogate values by clipped profile: Nelder-Mead and the floor walk
+    # revisit profiles, and each is computed once per search
+    seen = {}
+
+    def metrics(xc: np.ndarray) -> Tuple[float, float]:
+        key = xc.tobytes()
+        if key not in seen:
+            seen[key] = _grid_metrics(
+                _mirror_fractions(xc, problem.n_sites), problem, w)
+        return seen[key]
 
     def cost(x: np.ndarray, rho: float) -> float:
-        nonlocal evals
-        evals += 1
         xc = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
         overrun = float(np.sum((x - xc) ** 2))
-        fwhm, pb = _grid_metrics(
-            _mirror_fractions(xc, problem.n_sites), problem)
+        fwhm, pb = metrics(xc)
         if fwhm <= 0:
             return 1e3 * (1 + overrun)
         viol = max(0.0, problem.min_efficiency - pb)
@@ -172,9 +188,7 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
     # the penalty endpoint settles a hair below the ripple floor; walk up
     # the floor's gradient until the constraint holds exactly
     def ripple_floor(v: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        return _grid_metrics(_mirror_fractions(v, problem.n_sites), problem)[1]
+        return metrics(v)[1]
 
     pb = ripple_floor(x)
     for _ in range(12):
@@ -192,7 +206,7 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
         x = np.clip(x + (1.2 * deficit / norm2) * grad,
                     _FRAC_FLOOR, 1 - _FRAC_FLOOR)
         pb = ripple_floor(x)
-    return x, evals
+    return x, len(seen)
 
 
 def _finalize(fracs: np.ndarray, problem: OptimizationProblem,
@@ -262,12 +276,13 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
         return _finalize(np.empty(0), problem, evals=1)
 
     evals = 0
+    w = _grid_for(problem).points()
 
     def measure(f: float) -> Tuple[float, float]:
         nonlocal evals
         evals += 1
         return _grid_metrics(
-            _mirror_fractions(np.array([f]), problem.n_sites), problem)
+            _mirror_fractions(np.array([f]), problem.n_sites), problem, w)
 
     def objective(f: float) -> float:
         fwhm, pb = measure(f)

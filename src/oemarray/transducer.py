@@ -9,6 +9,10 @@ convention is such that a bare cavity reflects with
 
 All scattering functions accept a scalar or an array of frequencies and
 return matrices with the frequency axes leading, i.e. shape (..., 2, 2).
+The 2x2 results of ``scattering_full`` and ``scattering_eliminated`` are
+laid out entry-major: the shape is the same, but each entry ``s[..., i, j]``
+is one contiguous array, so the elementwise cascade reads it without a
+stride.  Callers must not assume C order.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ class BogoliubovSite:
 _TINY = np.finfo(float).tiny
 
 
+def _empty22(shape) -> np.ndarray:
+    """Uninitialized complex array of shape ``shape + (2, 2)`` whose entries
+    ``[..., i, j]`` are each contiguous."""
+    k = len(shape)
+    return np.empty((2, 2) + shape, dtype=complex).transpose(*range(2, k + 2), 0, 1)
+
+
 def scattering_full(site: SiteParams, omega) -> np.ndarray:
     """Exact 2x2 scattering matrix of a single three-mode site.
 
@@ -80,6 +91,9 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     1/den, would overflow.  Only those frequencies are lifted; the others
     could overflow if they were.
 
+    A scalar frequency gives the same bits as that frequency inside an
+    array (see ``_full_terms``).
+
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
     uncoupled site driven exactly on resonance).
@@ -88,7 +102,7 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
     terms = _full_terms(*rates, w)
     tiny = np.abs(terms[0]) < _TINY
-    if np.any(tiny):
+    if tiny.any():
         # largest rate to ~2**300: cubic terms stay far from overflow, and a
         # product with a rate down to the smallest subnormal becomes normal
         lift = 300 - np.frexp(max(rates))[1]
@@ -103,7 +117,7 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
             t[tiny] = value
     den, num11, num22, num12 = terms
 
-    s = np.empty(w.shape + (2, 2), dtype=complex)
+    s = _empty22(w.shape)
     s[..., 0, 0] = -1 + num11 / den
     s[..., 1, 1] = -1 + num22 / den
     off = num12 / den
@@ -113,14 +127,23 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
 
 
 def _full_terms(g1, g2, k1, k2, gam, w):
-    """Denominator and the three numerators of ``scattering_full``."""
-    d1 = k1 - 2j * w
-    d2 = k2 - 2j * w
-    dm = gam - 2j * w
-    den = 4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + d1 * d2 * dm
+    """Denominator and the three numerators of ``scattering_full``.
+
+    The products of two complex factors go through ``np.multiply`` even
+    for a scalar ``w``: numpy's array loop for them (fused multiply-add
+    where the CPU has it) rounds differently from its scalar ``*``, and
+    every other operation here rounds the same either way, so a scalar
+    gives the bits it has inside an array.
+    """
+    mul = np.multiply
+    iw2 = 2j * w
+    d1 = k1 - iw2
+    d2 = k2 - iw2
+    dm = gam - iw2
+    den = 4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + mul(mul(d1, d2), dm)
     return (den,
-            8 * g2 ** 2 * k1 + 2 * k1 * d2 * dm,
-            8 * g1 ** 2 * k2 + 2 * k2 * d1 * dm,
+            8 * g2 ** 2 * k1 + mul(2 * k1 * d2, dm),
+            8 * g1 ** 2 * k2 + mul(2 * k2 * d1, dm),
             -8 * g1 * g2 * np.sqrt(k1 * k2))
 
 
@@ -164,10 +187,11 @@ def scattering_eliminated(site: EliminatedSite, omega) -> np.ndarray:
         G1, G2 = np.ldexp(G1, lift), np.ldexp(G2, lift)
         w = np.ldexp(np.clip(w, -2.0 ** (600 - lift), 2.0 ** (600 - lift)), lift)
 
-    den = 2 * (G1 + G2) - 1j * w
-    s = np.empty(w.shape + (2, 2), dtype=complex)
-    s[..., 0, 0] = (-2 * (G1 - G2) - 1j * w) / den
-    s[..., 1, 1] = (2 * (G1 - G2) - 1j * w) / den
+    iw = 1j * w
+    den = 2 * (G1 + G2) - iw
+    s = _empty22(w.shape)
+    s[..., 0, 0] = (-2 * (G1 - G2) - iw) / den
+    s[..., 1, 1] = (2 * (G1 - G2) - iw) / den
     off = -4 * np.sqrt(G1 * G2) / den
     s[..., 0, 1] = off
     s[..., 1, 0] = off

@@ -163,6 +163,20 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "x")]) == code
         assert list(tmp_path.glob("*_manifest.json")) == []
 
+    def test_failed_scan_leaves_no_partial_csv(self, tmp_path, capsys):
+        # with g = 0 the sites are singular on resonance, so the scan fails
+        # after its header line
+        argv = ["bandwidth-scan", "--n-min", "1", "--n-max", "3", "--g", "0",
+                "--points", "101", "--out", str(tmp_path / "scan")]
+        assert main(argv) == 3
+        assert "numerical" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # an earlier table at the same path is left as it was
+        (tmp_path / "scan.csv").write_text("earlier\n")
+        assert main(argv) == 3
+        assert list(tmp_path.iterdir()) == [tmp_path / "scan.csv"]
+        assert (tmp_path / "scan.csv").read_text() == "earlier\n"
+
     def test_grid_over_memory_budget_rejected_before_running(self, tmp_path, monkeypatch,
                                                              capsys):
         budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2

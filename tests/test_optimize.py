@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oemarray.optimize as opt
 from oemarray.core import FrequencyGrid
 from oemarray.transducer import EliminatedSite
 from oemarray.cascade import eliminated_spectrum, extract_bandwidth
@@ -73,6 +74,13 @@ class TestTwoSites:
         assert r.bandwidth == pytest.approx(0.332, abs=2e-3)
         assert r.passband_min >= 0.99 - 1e-6
 
+    def test_result_is_pinned_bit_for_bit(self, n2_result):
+        _, r = n2_result
+        assert [g.hex() for g in r.gamma1_per_site] == [
+            "0x1.0da9ed53cb539p-7", "0x1.562f1e44a6c4cp-5"]
+        assert r.bandwidth.hex() == "0x1.53f8a94d242e8p-2"
+        assert r.passband_min.hex() == "0x1.fae14b1d75c59p-1"
+
     def test_agrees_with_grid_oracle(self, n2_result):
         problem, r = n2_result
         o = grid_oracle(problem)
@@ -109,6 +117,10 @@ class TestGridOracle:
         np.testing.assert_allclose(r.gamma1_per_site, o.gamma1_per_site,
                                    atol=resolution)
         assert o.gamma1_per_site[1] == pytest.approx(0.025, abs=1e-12)
+        assert [g.hex() for g in r.gamma1_per_site] == [
+            "0x1.35f5c4ac1aa6cp-8", "0x1.999999999999ap-6", "0x1.72dae1041644cp-5"]
+        assert r.bandwidth.hex() == "0x1.089206d3a06d2p-1"
+        assert r.passband_min.hex() == "0x1.e66669537beb1p-1"
 
     def test_rejects_larger_arrays(self):
         with pytest.raises(ValueError, match="n_sites <= 3"):
@@ -130,6 +142,30 @@ class TestSurrogate:
             bw = extract_bandwidth(eliminated_spectrum(_sites_for(fracs, GAMMA), grid))
             assert pb_min == bw.passband_min
             assert abs(fwhm - bw.fwhm) <= step
+
+
+def test_each_profile_is_evaluated_once_per_search(monkeypatch):
+    # Nelder-Mead and the floor walk revisit profiles; a search computes
+    # each distinct one once, and the result counts exactly those
+    calls = []
+    search, metrics = opt._local_search, opt._grid_metrics
+
+    def counted_search(start, problem):
+        calls.append([])
+        return search(start, problem)
+
+    def counted_metrics(fracs, problem, *args):
+        calls[-1].append(np.asarray(fracs).tobytes())
+        return metrics(fracs, problem, *args)
+
+    monkeypatch.setattr(opt, "_local_search", counted_search)
+    monkeypatch.setattr(opt, "_grid_metrics", counted_metrics)
+    r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05,
+                                               min_efficiency=0.99))
+    assert len(calls) == 8
+    for profiles in calls:
+        assert len(set(profiles)) == len(profiles)
+    assert r.evaluations == sum(len(p) for p in calls)
 
 
 class TestOptimizerInvariants:

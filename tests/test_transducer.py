@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oemarray import SingularMatrixError, SiteParams
+from oemarray.cascade import array_transfer
 from oemarray.transducer import (
     BogoliubovSite,
     EliminatedSite,
@@ -72,6 +73,21 @@ class TestScatteringFull:
         assert batch.shape == (3, 2, 2)
         for i, wi in enumerate(w):
             np.testing.assert_allclose(batch[i], scattering_full(site, wi), rtol=1e-15)
+
+    def test_scalar_call_gives_the_array_bits(self):
+        # numpy's scalar complex product rounds differently from its array
+        # loop; batched bisection needs a scalar omega to give the bits it
+        # has inside an array
+        rng = np.random.default_rng(8)
+        w = np.linspace(-2.5, 2.5, 1201)
+        for _ in range(30):
+            g1, g2 = rng.uniform(0.01, 0.3, 2)
+            k1, k2 = rng.uniform(0.5, 10.0, 2)
+            site = SiteParams(g1=g1, g2=g2, kappa1=k1, kappa2=k2,
+                              gamma=rng.uniform(0.0, 1e-2))
+            batch = scattering_full(site, w)
+            for i in range(len(w)):
+                assert np.array_equal(batch[i], scattering_full(site, w[i]))
 
     def test_subnormal_lift_leaves_other_frequencies_alone(self):
         # the denominator is subnormal at omega = 0 only; lifting the whole
@@ -266,6 +282,51 @@ class TestScatteringBogoliubov:
         site = SiteParams(g1=0.05, g2=0.05, kappa1=1.0, kappa2=1.0)
         with pytest.raises(ValueError):
             BogoliubovSite(site, omega_m=0.0)
+
+
+LAYOUT_CASES = {
+    "full": (SiteParams(g1=0.08, g2=0.05, kappa1=1.0, kappa2=1.2, gamma=1e-4),
+             np.linspace(-2.0, 2.0, 41)),
+    "eliminated": (EliminatedSite(0.01, 0.03), np.linspace(-0.2, 0.2, 41)),
+    # the D1 lifts: a subnormal denominator at omega = 0 only
+    "full-lifted": (SiteParams(g1=0, g2=0, kappa1=1e-110, kappa2=1e-110, gamma=1e-110),
+                    np.array([0.0, 1.0])),
+    "eliminated-lifted": (EliminatedSite(5e-324, 5e-324), np.linspace(-1.0, 1.0, 5)),
+}
+
+
+class TestEntryMajorLayout:
+    """Site kernels and the cascade keep the (..., 2, 2) shape, with each
+    entry one contiguous array."""
+
+    @staticmethod
+    def functions(site):
+        kernel = (scattering_eliminated if isinstance(site, EliminatedSite)
+                  else scattering_full)
+        return [lambda w: kernel(site, w), lambda w: array_transfer([site, site], w)]
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_shape_and_contiguous_entries(self, case):
+        site, w = LAYOUT_CASES[case]
+        for f in self.functions(site):
+            s = f(w)
+            assert s.shape == w.shape + (2, 2)
+            for i in range(2):
+                for j in range(2):
+                    assert s[..., i, j].flags.c_contiguous
+            for wk, sk in zip(w, s):
+                assert f(wk).shape == (2, 2)
+                assert np.array_equal(f(wk), sk)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_rows_of_two_dimensional_omega(self, case):
+        site, w = LAYOUT_CASES[case]
+        w2 = np.stack([w, w[::-1]])
+        for f in self.functions(site):
+            s = f(w2)
+            assert s.shape == w2.shape + (2, 2)
+            for row, s_row in zip(w2, s):
+                assert np.array_equal(s_row, f(row))
 
 
 def test_matrix_to_json_row_major_pairs():

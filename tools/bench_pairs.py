@@ -16,12 +16,14 @@ The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
 many pairs the change won, the parent's quartile distance, and whether the
 change's median moved by more than that distance.  It also records
-``nproc`` and the Python, numpy and scipy versions.  Standard library only.
+``nproc``, the Python, numpy and scipy versions, and each side's ``src/``
+line count (the lines of ``src/**/*.py``).  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -43,6 +45,15 @@ def environment() -> dict:
            else os.cpu_count()}
     env.update(json.loads(out.stdout))
     return env
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of ``src/**/*.py`` in one checkout, counted as ``wc -l`` does."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -117,6 +128,7 @@ def main(argv=None) -> int:
             "--trace 0`, each side in its own checkout, the same seed within a pair, "
             "the parent first on odd seeds."),
         "environment": environment(),
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {},
     }
     for workload in args.workloads.split(","):
@@ -135,6 +147,7 @@ def main(argv=None) -> int:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
 
+    print("src lines: " + ", ".join(f"{side} {doc['src_lines'][side]}" for side in SIDES))
     for workload, entry in doc["workloads"].items():
         for name, s in entry["summary"].items():
             if name == "failed_ratio_max":
