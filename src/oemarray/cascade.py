@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -386,12 +386,6 @@ def spectrum_to_csv(spectrum: Spectrum, path) -> None:
 
 
 def bandwidth_to_json(result: BandwidthResult, path=None) -> dict:
-    doc = {
-        "fwhm": result.fwhm,
-        "omega_lo": result.omega_lo,
-        "omega_hi": result.omega_hi,
-        "peak_value": result.peak_value,
-        "passband_min": result.passband_min,
-    }
+    doc = asdict(result)
     _write_json(path, doc)
     return doc

@@ -29,6 +29,7 @@ from .core import (
     FrequencyGrid,
     SingularMatrixError,
     SpectrumError,
+    _as_ramp,
     _read_doc,
     _write_csv,
     _write_json,
@@ -178,8 +179,10 @@ def cmd_bandwidth_scan(args, doc: dict):
     asymmetric = bool(_pick(args, "asymmetric", doc, "asymmetric", False))
 
     # closed-form columns use the mean linewidth of a (possibly ramped) rule
-    k1 = config_to_dict(base)["kappa1"]
-    kappa = 0.5 * (k1[0] + k1[1]) if isinstance(k1, list) else float(k1)
+    k1 = _as_ramp(base.kappa1)
+    kappa = 0.5 * (k1[0] + k1[1])
+    # the asymmetric scenario's rule: kappa2 = 10 * kappa1 at every site
+    k2 = 10 * kappa if k1[0] == k1[1] else (10 * k1[0], 10 * k1[1])
     g = base.profile.g_bar1
 
     def fwhm_at(config) -> float:
@@ -189,7 +192,6 @@ def cmd_bandwidth_scan(args, doc: dict):
         cfg = replace(base, n_sites=n)
         out = [n, fwhm_at(cfg), bandwidth_analytic(g, kappa, n), 4 * g * g * n / kappa]
         if asymmetric:
-            k2 = (10 * k1[0], 10 * k1[1]) if isinstance(k1, list) else 10 * float(k1)
             out.append(fwhm_at(replace(cfg, kappa2=k2)))
         return out
 
@@ -266,18 +268,14 @@ def cmd_optimize(args, doc: dict):
     min_eff = float(_pick(args, "min_eff", doc, "min_efficiency", 0.99))
     seed = int(_pick(args, "seed", doc, "seed", 97))
     starts = int(_pick(args, "starts", doc, "starts", 3))
-    workers = args.threads if args.threads is not None else 1
-    if workers < 1:
-        raise ConfigError("--threads must be >= 1")
     problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
                                   min_efficiency=min_eff)
-    result = optimize_couplings(problem, n_random_starts=starts, seed=seed,
-                                workers=workers)
+    result = optimize_couplings(problem, n_random_starts=starts, seed=seed)
     json_path = f"{args.out}.json"
     result_to_json(problem, result, json_path)
     config = {"problem": {"n_sites": n, "gamma_total": gamma_total,
                           "min_efficiency": min_eff},
-              "seed": seed, "starts": starts, "threads": workers}
+              "seed": seed, "starts": starts}
     if not result.converged:
         print(f"optimization infeasible: passband floor {result.passband_min:.6g} "
               f"< required {min_eff:.6g}", file=sys.stderr)
@@ -320,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "sweeps, and coupling optimization as reproducible runs.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__} (config schema {SCHEMA_VERSION})")
-    parser.add_argument("--threads", type=int,
-                        help="optimizer worker threads (default: 1; the pool "
-                             "is GIL-bound and was measured slower)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="conversion spectrum and bandwidth")

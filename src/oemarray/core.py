@@ -123,12 +123,13 @@ class SiteParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.g1 < 0 or self.g2 < 0:
-            raise ValueError("coupling rates must be >= 0")
-        if self.kappa1 <= 0 or self.kappa2 <= 0:
-            raise ValueError("cavity linewidths must be > 0")
-        if self.gamma < 0:
-            raise ValueError("mechanical linewidth must be >= 0")
+        # written so that NaN fails every check, as infinity does
+        if not (0 <= self.g1 < math.inf and 0 <= self.g2 < math.inf):
+            raise ValueError("coupling rates must be finite and >= 0")
+        if not (0 < self.kappa1 < math.inf and 0 < self.kappa2 < math.inf):
+            raise ValueError("cavity linewidths must be finite and > 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("mechanical linewidth must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,13 +159,13 @@ class CouplingProfile:
             if not self.explicit_values:
                 raise ValueError("explicit profile needs explicit_values")
             for pair in self.explicit_values:
-                if len(pair) != 2 or pair[0] < 0 or pair[1] < 0:
-                    raise ValueError("explicit_values must be nonnegative (g1, g2) pairs")
+                if len(pair) != 2 or not all(0 <= g < math.inf for g in pair):
+                    raise ValueError("explicit_values must be finite nonnegative (g1, g2) pairs")
         else:
-            if self.g_bar1 < 0 or self.g_bar2 < 0:
-                raise ValueError("peak couplings must be >= 0")
-            if self.kind == "tanh" and self.beta <= 0:
-                raise ValueError("tanh steepness beta must be > 0")
+            if not (0 <= self.g_bar1 < math.inf and 0 <= self.g_bar2 < math.inf):
+                raise ValueError("peak couplings must be finite and >= 0")
+            if self.kind == "tanh" and not 0 < self.beta < math.inf:
+                raise ValueError("tanh steepness beta must be finite and > 0")
 
     @classmethod
     def linear(cls, g_bar1: float, g_bar2: float | None = None) -> "CouplingProfile":
@@ -206,18 +207,17 @@ class ArrayConfig:
     kappa_ref: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n_sites) != self.n_sites or self.n_sites < 1:
+        if not 1 <= self.n_sites < math.inf or int(self.n_sites) != self.n_sites:
             raise ValueError("n_sites must be a positive integer")
         for ramp in (self.kappa1, self.kappa2):
-            start, end = _as_ramp(ramp)
-            if start <= 0 or end <= 0:
-                raise ValueError("cavity linewidths must be > 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if self.n_bar < 0:
-            raise ValueError("n_bar must be >= 0")
-        if self.kappa_ref <= 0:
-            raise ValueError("kappa_ref must be > 0")
+            if not all(0 < k < math.inf for k in _as_ramp(ramp)):
+                raise ValueError("cavity linewidths must be finite and > 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 0 <= self.n_bar < math.inf:
+            raise ValueError("n_bar must be finite and >= 0")
+        if not 0 < self.kappa_ref < math.inf:
+            raise ValueError("kappa_ref must be finite and > 0")
         if self.profile.kind == "explicit" and len(self.profile.explicit_values) != self.n_sites:
             raise ValueError(
                 f"explicit profile lists {len(self.profile.explicit_values)} sites, "
@@ -234,8 +234,8 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.omega_min < self.omega_max:
-            raise ValueError("omega_min must be < omega_max")
+        if not -math.inf < self.omega_min < self.omega_max < math.inf:
+            raise ValueError("omega_min must be < omega_max, both finite")
         if self.n_points < 2:
             raise ValueError("n_points must be >= 2")
 
@@ -438,7 +438,7 @@ def config_from_dict(doc: dict) -> ArrayConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(str(exc)) from exc
 
 

@@ -64,8 +64,8 @@ class LossySite:
             object.__setattr__(self, "kappa_r2", self.site.kappa2)
         rates = (self.kappa_r1, self.kappa_r2, self.kappa_l1, self.kappa_l2,
                  self.kappa_int1, self.kappa_int2)
-        if any(r < 0 for r in rates):
-            raise ValueError("decay rates must be nonnegative")
+        if not all(0 <= r < math.inf for r in rates):
+            raise ValueError("decay rates must be finite and nonnegative")
         if self.total1 <= 0 or self.total2 <= 0:
             raise ValueError("each cavity needs a positive total linewidth")
 
@@ -87,8 +87,10 @@ class CellLink:
     k2_d: float = 0.0
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ValueError("zeta must be >= 0")
+        if not 0 <= self.zeta < math.inf:
+            raise ValueError("zeta must be finite and >= 0")
+        if not (math.isfinite(self.k1_d) and math.isfinite(self.k2_d)):
+            raise ValueError("propagation phases must be finite")
 
     @classmethod
     def from_epsilon(cls, epsilon: float, k1_d: float = 0.0,
@@ -224,20 +226,16 @@ def conversion_efficiency(s: BiScatter) -> np.ndarray:
 
 
 def envelope_efficiency(sites: Sequence[LossySite],
-                        links: Sequence[CellLink],
-                        half_width: Optional[float] = None,
-                        n_points: int = 241) -> float:
+                        links: Sequence[CellLink]) -> float:
     """Peak conversion efficiency over one ripple period around resonance.
 
     Backscatter superimposes standing-wave ripples on the conversion
     band; the envelope is what the smooth efficiency trend refers to.
-    The default window pi/N (in units of the first site's linewidth)
-    spans at least one period.
+    The window of half-width pi/N (in units of the first site's
+    linewidth), sampled at 241 points, spans at least one period.
     """
-    n = len(sites)
-    if half_width is None:
-        half_width = math.pi * sites[0].total1 / max(n, 2)
-    w = np.linspace(-half_width, half_width, n_points)
+    half_width = math.pi * sites[0].total1 / max(len(sites), 2)
+    w = np.linspace(-half_width, half_width, 241)
     s = lossy_array_scattering(sites, links, w)
     return float(conversion_efficiency(s).max())
 
@@ -268,8 +266,8 @@ def efficiency_vs_loss(param: str, values: Sequence[float],
         raise ValueError(f"unknown sweep parameter: {param!r}")
     rows = []
     for value in values:
-        if value < 0:
-            raise ValueError("loss values must be nonnegative")
+        if not 0 <= value < math.inf:
+            raise ValueError("loss values must be finite and nonnegative")
         if param == "kappa_l":
             (_, eff), = backscatter_efficiency_table([value], sites)
         else:

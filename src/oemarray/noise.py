@@ -21,11 +21,6 @@ from .core import (ArrayConfig, FrequencyGrid, SiteParams, _resolvent,
 from .cascade import Spectrum, _entries, _mul2, array_transfer, extract_bandwidth
 from .transducer import BogoliubovSite, scattering_bogoliubov, scattering_full
 
-try:
-    from numpy import trapezoid as _trapz
-except ImportError:  # numpy < 2.0
-    from numpy import trapz as _trapz
-
 __all__ = [
     "NoiseSpectrum",
     "StokesSpectrum",
@@ -125,8 +120,7 @@ def added_noise_resonant_analytic(c_tilde: float, n_bar: float,
 
 
 def integrated_added_noise(config: ArrayConfig,
-                           window: Optional[tuple] = None,
-                           band_grid: Optional[FrequencyGrid] = None) -> np.ndarray:
+                           window: Optional[tuple] = None) -> np.ndarray:
     """Added noise integrated over the conversion band, per port.
 
     The band is [-fwhm/2, +fwhm/2] of the matching conversion spectrum
@@ -135,7 +129,7 @@ def integrated_added_noise(config: ArrayConfig,
     sites = materialize_sites(config)
     if window is None:
         window = _band_window(lambda w: array_transfer(sites, w)[..., 1, 0],
-                              band_grid, 0.0)
+                              None, 0.0)
 
     def density(w):
         return np.stack(_added_noise_terms(sites, w, config.n_bar))
@@ -154,21 +148,33 @@ def _band_window(t21_at, grid, center):
 
 
 def _adaptive_trapezoid(f, lo, hi, rtol=1e-4, max_doublings=12):
+    """Trapezoid rule for the integral of ``f`` over [lo, hi] on 65, 129,
+    257, ... points, until two successive estimates agree to ``rtol``.
+
+    The rule is nested: each doubling evaluates ``f`` only at the new
+    midpoints and adds them to half the previous estimate.  If
+    ``max_doublings`` doublings do not converge, a RuntimeWarning names the
+    window and the last two estimates, and the last one is returned.
+    """
     if not hi > lo:
         raise ValueError("integration window must have positive width")
     n = 65
-    w = np.linspace(lo, hi, n)
-    vals = f(w)
-    best = _trapz(vals, w, axis=-1)
+    h = (hi - lo) / (n - 1)
+    vals = f(np.linspace(lo, hi, n))
+    best = h * (np.sum(vals, axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
     for _ in range(max_doublings):
         n = 2 * n - 1
-        w = np.linspace(lo, hi, n)
-        vals = f(w)
-        new = _trapz(vals, w, axis=-1)
+        h /= 2
+        new = 0.5 * best + h * np.sum(f(np.linspace(lo, hi, n)[1::2]), axis=-1)
         scale = np.maximum(np.max(np.abs(new)), 1e-300)
         if np.max(np.abs(new - best)) <= rtol * scale:
             return new
-        best = new
+        prev, best = best, new
+    warnings.warn(
+        f"trapezoid rule over [{float(lo)!r}, {float(hi)!r}] did not converge to "
+        f"rtol {rtol:g} in {max_doublings} doublings ({n} points): the last two "
+        f"estimates are {prev} and {best}; returning the last",
+        RuntimeWarning, stacklevel=3)
     return best
 
 

@@ -10,9 +10,9 @@ steepness.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -51,8 +51,8 @@ class OptimizationProblem:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if self.gamma_total <= 0:
-            raise ValueError("gamma_total must be > 0")
+        if not 0 < self.gamma_total < math.inf:
+            raise ValueError("gamma_total must be finite and > 0")
         if not 0 < self.min_efficiency <= 1:
             raise ValueError("min_efficiency must be in (0, 1]")
 
@@ -96,16 +96,14 @@ def _sites_for(fracs: np.ndarray, gamma_total: float) -> List[EliminatedSite]:
 
 
 def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
-                  w: Optional[np.ndarray] = None) -> Tuple[float, float]:
+                  w: np.ndarray) -> Tuple[float, float]:
     """(fwhm, passband_min) from the sampled spectrum alone.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
     goes through the bisection-refined extractor.  ``w`` is the points of
-    ``_grid_for(problem)``, built here when not given.
+    ``_grid_for(problem)``.
     """
-    if w is None:
-        w = _grid_for(problem).points()
     v = np.abs(array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]) ** 2
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
@@ -232,19 +230,16 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
 
     Runs a derivative-free local search from ramp-shaped and randomized
     starting profiles with an increasing penalty on ripple below the
-    efficiency floor, then reports the best feasible profile.
+    efficiency floor, then reports the best feasible profile.  The starts
+    run one after another; ``workers`` must be 1.
     """
-    n = problem.n_sites
-    if n == 1 or n // 2 == 0:
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the search is serial")
+    if problem.n_sites == 1:
         return _finalize(np.empty(0), problem, evals=1)
 
     starts = _start_profiles(problem, n_random_starts, seed)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(
-                lambda s: _local_search(s, problem), starts))
-    else:
-        outcomes = [_local_search(s, problem) for s in starts]
+    outcomes = [_local_search(s, problem) for s in starts]
 
     total_evals = sum(e for _, e in outcomes)
     candidates = [_finalize(x, problem, total_evals) for x, _ in outcomes]

@@ -17,6 +17,7 @@ stride.  Callers must not assume C order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class EliminatedSite:
     gamma2: float
 
     def __post_init__(self) -> None:
-        if self.gamma1 < 0 or self.gamma2 < 0:
-            raise ValueError("effective rates must be nonnegative")
+        if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
+            raise ValueError("effective rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,26 @@ class TestExitCodes:
             main(["no-such-command"])
         assert err.value.code == 2
 
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", "2", "optimize", "--n", "2", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["loss", "--n", "4", "--param", "kappa_int", "--values", "0,nan"],
+        ["backscatter", "--n", "4", "--ratios", "0.1,nan"],
+        ["backscatter", "--n", "4", "--ratios", "0.1", "--zeta", "inf"],
+        ["noise", "--n", "3", "--n-bar", "nan"],
+        ["spectrum", "--n", "4", "--gamma", "nan"],
+        ["spectrum", "--n", "4", "--omega-max", "inf"],
+        ["optimize", "--n", "2", "--gamma-total", "nan"],
+    ])
+    def test_non_finite_input_exits_two(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_optimization_exits_four(self, tmp_path, monkeypatch, capsys):
         stuck = OptimizationResult(gamma1_per_site=(0.01, 0.04), bandwidth=0.1,
                                    passband_min=0.9, converged=False,
@@ -202,7 +222,7 @@ MANIFEST_RUNS = {
     "backscatter": (["--n", "4", "--ratios", "0.02,0.05,0.1,0.15", "--fit-alpha"],
                     ["{}.csv", "{}_alpha.json"], {"array", "ratios", "zeta", "fit_alpha"}),
     "optimize": (["--n", "2", "--starts", "1"], ["{}.json"],
-                 {"problem", "seed", "starts", "threads"}),
+                 {"problem", "seed", "starts"}),
 }
 
 
@@ -350,7 +370,6 @@ class TestOptimize:
         assert doc["bandwidth"] == pytest.approx(0.332, abs=2e-3)
         manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
         assert manifest["config"]["seed"] == 97
-        assert manifest["config"]["threads"] >= 1
 
     def test_bad_problem_is_config_error(self, tmp_path):
         assert main(["optimize", "--n", "0",

@@ -7,13 +7,19 @@ from hypothesis import given, strategies as st
 
 from oemarray import (
     ArrayConfig,
+    CellLink,
     ConfigError,
     CouplingProfile,
+    EliminatedSite,
     FrequencyGrid,
+    LossySite,
+    OptimizationProblem,
+    SiteParams,
     adiabaticity_margin,
     classical_cooperativity,
     config_from_dict,
     config_to_dict,
+    efficiency_vs_loss,
     gamma_linear_profile,
     load_config,
     materialize_sites,
@@ -102,6 +108,35 @@ def test_invalid_configs_rejected():
         FrequencyGrid(1.0, -1.0, 100)
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SiteParams(g1=0.1, g2=0.1, kappa1=1.0, kappa2=1.0, gamma=math.nan),
+    lambda: SiteParams(g1=math.inf, g2=0.1, kappa1=1.0, kappa2=1.0),
+    lambda: CouplingProfile.tanh(0.1, beta=math.nan),
+    lambda: CouplingProfile.explicit([(0.1, math.inf)]),
+    lambda: ArrayConfig(n_sites=2, profile=CouplingProfile.linear(0.1), kappa1=(1.0, math.nan)),
+    lambda: ArrayConfig(n_sites=math.inf, profile=CouplingProfile.linear(0.1)),
+    lambda: ArrayConfig(n_sites=2, profile=CouplingProfile.linear(0.1), n_bar=math.nan),
+    lambda: EliminatedSite(gamma1=0.01, gamma2=-math.inf),
+    lambda: LossySite(site=SiteParams(0.1, 0.1, 1.0, 1.0), kappa_l1=math.nan),
+    lambda: CellLink(zeta=math.inf),
+    lambda: CellLink(k1_d=math.nan),
+    lambda: efficiency_vs_loss("kappa_int", [0.0, math.nan],
+                               [SiteParams(0.1, 0.1, 1.0, 1.0)]),
+    lambda: OptimizationProblem(n_sites=2, gamma_total=math.nan),
+    lambda: FrequencyGrid(-1.0, math.inf, 11),
+])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite|positive integer"):
+        build()
+
+
+def test_infinite_site_count_in_config_is_config_error():
+    doc = {"schema_version": "1", "n_sites": math.inf,
+           "profile": {"kind": "linear", "g_bar1": 0.1, "g_bar2": 0.1}}
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
 
 
 def test_adiabaticity_margin_values():

@@ -1,5 +1,7 @@
 """Tests for thermal added noise and Stokes amplification noise."""
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from oemarray import (
     stokes_noise_spectrum,
     stokes_to_csv,
 )
+from oemarray.noise import _adaptive_trapezoid
 
 KAPPA = 1.0
 GAMMA_M = 5e-5
@@ -245,6 +248,38 @@ class TestIntegratedAddedNoise:
         cfg = ArrayConfig(n_sites=2, profile=prof, gamma=0.01, n_bar=1.0)
         with pytest.raises(SpectrumError):
             integrated_added_noise(cfg)
+
+
+class TestQuadrature:
+    def test_nested_rule_evaluates_each_point_once(self):
+        seen = []
+
+        def f(w):
+            seen.extend(w.tolist())
+            return np.exp(w)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = _adaptive_trapezoid(f, 0.0, 1.0)
+        assert total == pytest.approx(math.e - 1, rel=1e-4)
+        # the points of the last rule, each evaluated once
+        assert sorted(seen) == np.linspace(0.0, 1.0, len(seen)).tolist()
+        assert len(seen) == 129
+
+    def test_unconverged_rule_warns_and_returns_last_estimate(self):
+        # an integrand that rises on every call never settles
+        calls = itertools.count(1)
+
+        def rising(w):
+            return np.full(np.shape(w), float(next(calls)))
+
+        estimates = [1.0]
+        for k in range(2, 14):
+            estimates.append(0.5 * estimates[-1] + 0.5 * k)
+        with pytest.warns(RuntimeWarning, match=r"\[0\.0, 1\.0\] did not converge") as rec:
+            out = _adaptive_trapezoid(rising, 0.0, 1.0)
+        assert out == estimates[-1]
+        assert f"{estimates[-2]} and {estimates[-1]}" in str(rec[0].message)
 
 
 OMEGA_M = 10.0
