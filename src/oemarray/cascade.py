@@ -377,12 +377,12 @@ def waveguide_dispersion(omega, v: float, kappa_eff: float):
 
 def spectrum_to_csv(spectrum: Spectrum, path) -> None:
     """Write the spectrum as CSV (12 significant digits, LF endings)."""
-    w = spectrum.grid.points()
-    t = spectrum.t21
-    phase = np.unwrap(np.angle(t))
+    phase = np.unwrap(np.angle(spectrum.t21))
+    # Python's scalar abs, not np.abs, which differs by one ulp on some values
     _write_csv(path, "omega,re_t21,im_t21,abs2_t21,phase_unwrapped",
-               ((w[i], t[i].real, t[i].imag, abs(t[i]) ** 2, phase[i])
-                for i in range(len(w))))
+               ((w, t.real, t.imag, abs(t) ** 2, p) for w, t, p in
+                zip(spectrum.grid.points().tolist(), spectrum.t21.tolist(),
+                    phase.tolist())))
 
 
 def bandwidth_to_json(result: BandwidthResult, path=None) -> dict:

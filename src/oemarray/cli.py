@@ -9,6 +9,7 @@ Subcommands apply flag overrides, compute, and write only their data files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -29,6 +30,7 @@ from .core import (
     FrequencyGrid,
     SingularMatrixError,
     SpectrumError,
+    _as_int,
     _as_ramp,
     _read_doc,
     _write_csv,
@@ -51,6 +53,7 @@ from .noise import (
     stokes_to_csv,
 )
 from .optimize import OptimizationProblem, optimize_couplings, result_to_json
+from .transducer import _check_omega_m
 
 __all__ = ["main", "build_parser"]
 
@@ -114,7 +117,8 @@ def _resolve_grid(args, doc: dict, default_half_width: float,
     if omega_min is None:
         omega_min = 2 * center - omega_max
     try:
-        grid = FrequencyGrid(float(omega_min), float(omega_max), int(points))
+        grid = FrequencyGrid(float(omega_min), float(omega_max),
+                             _as_int(points, "points"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid frequency grid: {exc}") from exc
     # half of physical memory, checked before any array is allocated
@@ -171,8 +175,8 @@ def cmd_bandwidth_scan(args, doc: dict):
     base = _resolve_array_config(args, doc)
     if base.profile.kind == "explicit":
         raise ConfigError("bandwidth-scan needs a parametric profile (linear or tanh)")
-    n_lo = int(_pick(args, "n_min", doc, "n_min", 1))
-    n_hi = int(_pick(args, "n_max", doc, "n_max", 200))
+    n_lo = _as_int(_pick(args, "n_min", doc, "n_min", 1), "n_min")
+    n_hi = _as_int(_pick(args, "n_max", doc, "n_max", 200), "n_max")
     if not 1 <= n_lo <= n_hi:
         raise ConfigError(f"invalid size range {n_lo}..{n_hi}")
     grid = _resolve_grid(args, doc, default_half_width=2.5, default_points=1201)
@@ -216,7 +220,8 @@ def cmd_noise(args, doc: dict):
 
 def cmd_stokes(args, doc: dict):
     config = _resolve_array_config(args, doc)
-    omega_m = float(_pick(args, "omega_m", doc, "omega_m", 10.0))
+    # checked here, before the grid is centred on it
+    omega_m = _check_omega_m(float(_pick(args, "omega_m", doc, "omega_m", 10.0)))
     grid = _resolve_grid(args, doc, default_half_width=1.5, default_points=2001,
                          center=omega_m)
     sp = stokes_noise_spectrum(config, omega_m, grid)
@@ -263,11 +268,11 @@ def cmd_backscatter(args, doc: dict):
 
 def cmd_optimize(args, doc: dict):
     """Also returns exit code 4 when no profile meets the passband floor."""
-    n = int(_pick(args, "n", doc, "n_sites", 2))
+    n = _as_int(_pick(args, "n", doc, "n_sites", 2), "n_sites")
     gamma_total = float(_pick(args, "gamma_total", doc, "gamma_total", 0.05))
     min_eff = float(_pick(args, "min_eff", doc, "min_efficiency", 0.99))
-    seed = int(_pick(args, "seed", doc, "seed", 97))
-    starts = int(_pick(args, "starts", doc, "starts", 3))
+    seed = _as_int(_pick(args, "seed", doc, "seed", 97), "seed")
+    starts = _as_int(_pick(args, "starts", doc, "starts", 3), "starts")
     problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
                                   min_efficiency=min_eff)
     result = optimize_couplings(problem, n_random_starts=starts, seed=seed)
@@ -378,11 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """The run harness.  ``cmd_x(args, doc)`` returns the manifest's ``(config,
     outputs)``, plus an exit code when that is not 0; runs that exit 2 or 3
     write no manifest."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         doc = _read_doc(args.config) if args.config else {}

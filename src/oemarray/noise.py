@@ -19,7 +19,8 @@ import numpy as np
 from .core import (ArrayConfig, FrequencyGrid, SiteParams, _resolvent,
                    _three_mode, _write_csv, materialize_sites)
 from .cascade import Spectrum, _entries, _mul2, array_transfer, extract_bandwidth
-from .transducer import BogoliubovSite, scattering_bogoliubov, scattering_full
+from .transducer import (BogoliubovSite, _check_omega_m, scattering_bogoliubov,
+                         scattering_full)
 
 __all__ = [
     "NoiseSpectrum",
@@ -193,6 +194,7 @@ def stokes_noise_spectrum(config: ArrayConfig, omega_m: float,
 
 
 def _warn_unresolved(sites, omega_m):
+    _check_omega_m(omega_m)  # before it divides
     kappa_max = max(max(s.kappa1, s.kappa2) for s in sites)
     if kappa_max / omega_m > 0.3:
         warnings.warn(
@@ -230,9 +232,10 @@ def integrated_stokes_noise(config: ArrayConfig, omega_m: float,
 
 def noise_to_csv(spectrum: NoiseSpectrum, path) -> None:
     _write_csv(path, "omega,s_add_port1,s_add_port2",
-               zip(spectrum.grid.points(), spectrum.s_add_1, spectrum.s_add_2))
+               zip(spectrum.grid.points().tolist(), spectrum.s_add_1.tolist(),
+                   spectrum.s_add_2.tolist()))
 
 
 def stokes_to_csv(spectrum: StokesSpectrum, path) -> None:
     _write_csv(path, "omega,stokes_density",
-               zip(spectrum.grid.points(), spectrum.density))
+               zip(spectrum.grid.points().tolist(), spectrum.density.tolist()))

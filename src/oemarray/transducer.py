@@ -62,8 +62,14 @@ class BogoliubovSite:
     omega_m: float
 
     def __post_init__(self) -> None:
-        if self.omega_m <= 0:
-            raise ValueError("omega_m must be positive")
+        _check_omega_m(self.omega_m)
+
+
+def _check_omega_m(omega_m: float) -> float:
+    """``omega_m``, once it is a finite mechanical frequency > 0."""
+    if not 0 < omega_m < math.inf:  # NaN fails too
+        raise ValueError(f"omega_m must be finite and > 0, got {omega_m}")
+    return omega_m
 
 
 _TINY = np.finfo(float).tiny

@@ -208,6 +208,32 @@ class TestExitCodes:
         # the budget is half of physical memory: 1000 points still fit
         assert main(["spectrum", "--points", "1000", "--out", str(tmp_path / "fits")]) == 0
 
+    @pytest.mark.parametrize("command,fields,name", [
+        ("spectrum", '"grid": {"points": Infinity}', "points"),
+        ("spectrum", '"n_sites": Infinity', "n_sites"),
+        ("optimize", '"n_sites": Infinity', "n_sites"),
+        ("optimize", '"seed": -Infinity', "seed"),
+        ("optimize", '"starts": NaN', "starts"),
+        ("bandwidth-scan", '"n_min": 1e400', "n_min"),
+        ("bandwidth-scan", '"n_max": Infinity', "n_max"),
+    ])
+    def test_non_finite_config_integer_exits_two(self, tmp_path, capsys, command,
+                                                 fields, name):
+        # int() of an infinity overflows and NaN has no int: both name the field
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": "1", ' + fields + "}")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_bad_mechanical_frequency_is_named(self, tmp_path, capsys, value):
+        # checked before the grid is centred on it, so the grid is not blamed
+        assert main(["stokes", "--n", "2", "--points", "21", f"--omega-m={value}",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "omega_m must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 # one small run of every subcommand: data files written, manifest keys
 MANIFEST_RUNS = {
@@ -374,6 +400,49 @@ class TestOptimize:
     def test_bad_problem_is_config_error(self, tmp_path):
         assert main(["optimize", "--n", "0",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it."""
+
+    def test_two_subcommands_in_one_process(self, tmp_path, monkeypatch):
+        assert main(["spectrum", "--n", "3", "--points", "101",
+                     "--out", str(tmp_path / "sp")]) == 0
+
+        def no_second_parser():
+            raise AssertionError("parser built again")
+
+        monkeypatch.setattr(cli, "build_parser", no_second_parser)
+        assert main(["noise", "--n", "3", "--points", "51",
+                     "--out", str(tmp_path / "nz")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "nz.csv", "nz_manifest.json", "sp.csv", "sp_bandwidth.json",
+            "sp_manifest.json"]
+
+    def test_usage_error_then_good_run(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "--n", "three"])
+        assert err.value.code == 2
+        assert main(["spectrum", "--n", "3", "--points", "101",
+                     "--out", str(tmp_path / "ok")]) == 0
+        _, rows = read_rows(tmp_path / "ok.csv")
+        assert len(rows) == 101
+
+    def test_module_globals_patched_after_first_call_are_used(self, tmp_path,
+                                                              monkeypatch):
+        assert main(["spectrum", "--n", "2", "--points", "101",
+                     "--out", str(tmp_path / "first")]) == 0
+        seen = []
+        real = cli.conversion_spectrum
+
+        def recording(config, grid):
+            seen.append(config.n_sites)
+            return real(config, grid)
+
+        monkeypatch.setattr(cli, "conversion_spectrum", recording)
+        assert main(["spectrum", "--n", "4", "--points", "101",
+                     "--out", str(tmp_path / "second")]) == 0
+        assert seen == [4]
 
 
 class TestVersion:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oemarray import (
     ArrayConfig,
+    BogoliubovSite,
     CellLink,
     ConfigError,
     CouplingProfile,
@@ -126,6 +127,8 @@ def test_invalid_configs_rejected():
                                [SiteParams(0.1, 0.1, 1.0, 1.0)]),
     lambda: OptimizationProblem(n_sites=2, gamma_total=math.nan),
     lambda: FrequencyGrid(-1.0, math.inf, 11),
+    lambda: BogoliubovSite(SiteParams(0.1, 0.1, 1.0, 1.0), omega_m=math.nan),
+    lambda: BogoliubovSite(SiteParams(0.1, 0.1, 1.0, 1.0), omega_m=math.inf),
 ])
 def test_non_finite_parameters_rejected(build):
     with pytest.raises(ValueError, match="finite|positive integer"):

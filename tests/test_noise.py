@@ -311,6 +311,15 @@ class TestStokesNoise:
             warnings.simplefilter("error")
             stokes_noise_spectrum(cfg, OMEGA_M, grid)
 
+    @pytest.mark.parametrize("omega_m", [0.0, float("nan"), float("inf")])
+    def test_bad_mechanical_frequency_rejected(self, omega_m):
+        # checked before the sideband ratio divides by it
+        cfg = stokes_config(2, 1.0)
+        with pytest.raises(ValueError, match="omega_m"):
+            stokes_noise_spectrum(cfg, omega_m, FrequencyGrid(1.0, 3.0, 11))
+        with pytest.raises(ValueError, match="omega_m"):
+            integrated_stokes_noise(cfg, omega_m, window=(1.0, 3.0))
+
     def test_sideband_ratio_suppression(self):
         # halving/thirding kappa/omega_m drops the integrated total much
         # faster than quadratically

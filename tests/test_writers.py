@@ -6,14 +6,19 @@ their keys, the others keep insertion order.
 """
 
 import types
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import oemarray.cli as cli
-from oemarray import (BandwidthResult, FrequencyGrid, NoiseSpectrum,
-                      OptimizationProblem, OptimizationResult, Spectrum,
-                      StokesSpectrum, alpha_fit_to_json, bandwidth_to_json,
-                      noise_to_csv, result_to_json, spectrum_to_csv,
+from oemarray.core import _write_csv
+from oemarray import (ArrayConfig, BandwidthResult, CouplingProfile,
+                      FrequencyGrid, NoiseSpectrum, OptimizationProblem,
+                      OptimizationResult, Spectrum, StokesSpectrum,
+                      added_noise_spectrum, alpha_fit_to_json,
+                      bandwidth_to_json, conversion_spectrum, noise_to_csv,
+                      result_to_json, spectrum_to_csv, stokes_noise_spectrum,
                       stokes_to_csv, sweep_to_csv)
 
 GRID = FrequencyGrid(-1.0, 1.0, 3)
@@ -117,3 +122,113 @@ def test_manifest_json(tmp_path, monkeypatch):
         b'  "schema_version": "1",\n  "config": {\n    "x": 0.3333333333333333,\n'
         b'    "n": 2\n  },\n  "duration_seconds": 1.25,\n  "outputs": [\n'
         b'    "a.csv"\n  ]\n}\n')
+
+
+# ---------------------------------------------------------------------------
+# the row formatter against the per-number formula it replaced
+
+def _old_write_csv(path, header, rows):
+    """The former `_write_csv` body, verbatim: one f-string per number."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+def _random_doubles(rng, n):
+    """``n`` float64 values from random bit patterns, plus the edge cases."""
+    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+             np.finfo(float).tiny, np.finfo(float).max, -np.finfo(float).max,
+             np.inf, -np.inf, np.nan, -np.nan, 1e16, 123456789012.5, 0.1]
+    return np.concatenate([bits.view(np.float64), edges])
+
+
+def test_row_format_matches_per_number_formula(tmp_path):
+    rng = np.random.default_rng(20261018)
+    values = _random_doubles(rng, 40_000)
+    rows = list(zip(*(rng.permutation(values).tolist() for _ in range(4))))
+    # every kind of number a writer is handed: Python and numpy scalars
+    with np.errstate(over="ignore"):  # float32 of a large double is inf
+        rows += [(np.float64(v), np.float32(v), np.int64(k), k) for v, k in
+                 zip(values[:2000], rng.integers(-2**62, 2**62, 2000).tolist())]
+    rows += [(True, 0, -7, 2**80), (np.int32(-3), np.uint8(200), 10**15 + 1, -0.0)]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    _write_csv(new, "a,b,c,d", rows)
+    _old_write_csv(old, "a,b,c,d", rows)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_row_format_streams_generator_rows(tmp_path):
+    produced = []
+
+    def rows():
+        for n in range(3):
+            produced.append(n)
+            yield [n, n / 3]
+
+    path = tmp_path / "gen.csv"
+    _write_csv(path, "n,x", rows())
+    assert produced == [0, 1, 2]
+    assert path.read_bytes() == b"n,x\n0,0\n1,0.333333333333\n2,0.666666666667\n"
+
+
+@pytest.mark.parametrize("bad_row", [(1.0,), (1.0, 2.0, 3.0)])
+def test_row_of_wrong_width_leaves_no_file(tmp_path, bad_row):
+    path = tmp_path / "w.csv"
+    with pytest.raises(TypeError):
+        _write_csv(path, "a,b", [(0.5, 1.5), bad_row, (2.5, 3.5)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def _old_spectrum_to_csv(spectrum, path):
+    """The former `spectrum_to_csv`, verbatim: numpy scalars indexed one by one."""
+    w = spectrum.grid.points()
+    t = spectrum.t21
+    phase = np.unwrap(np.angle(t))
+    _old_write_csv(path, "omega,re_t21,im_t21,abs2_t21,phase_unwrapped",
+                   ((w[i], t[i].real, t[i].imag, abs(t[i]) ** 2, phase[i])
+                    for i in range(len(w))))
+
+
+def _random_config(rng):
+    n = int(rng.integers(1, 201))
+    g1, g2 = rng.uniform(0.02, 0.2, size=2)
+    if rng.random() < 0.5:
+        profile = CouplingProfile.tanh(g1, g2, beta=rng.uniform(1.0, 6.0))
+    else:
+        profile = CouplingProfile.linear(g1, g2)
+    k1, k2 = rng.uniform(0.5, 2.0, size=2)
+    return ArrayConfig(n_sites=n, profile=profile, kappa1=k1, kappa2=k2,
+                       gamma=float(rng.choice([0.0, rng.uniform(1e-6, 1e-3)])),
+                       n_bar=float(rng.uniform(0.0, 100.0)))
+
+
+def test_spectrum_csv_matches_indexed_formula(tmp_path):
+    rng = np.random.default_rng(7)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    for _ in range(24):
+        half = rng.uniform(0.5, 3.0)
+        grid = FrequencyGrid(-half * rng.uniform(0.5, 1.5), half, 1201)
+        sp = conversion_spectrum(_random_config(rng), grid)
+        spectrum_to_csv(sp, new)
+        _old_spectrum_to_csv(sp, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_noise_and_stokes_csv_match_zipped_arrays(tmp_path):
+    rng = np.random.default_rng(11)
+    config = replace(_random_config(rng), n_sites=12, gamma=5e-5)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+
+    sp = added_noise_spectrum(config, FrequencyGrid(-2.0, 2.0, 1201))
+    noise_to_csv(sp, new)
+    _old_write_csv(old, "omega,s_add_port1,s_add_port2",
+                   zip(sp.grid.points(), sp.s_add_1, sp.s_add_2))
+    assert new.read_bytes() == old.read_bytes()
+
+    st = stokes_noise_spectrum(replace(config, n_sites=4), 10.0,
+                               FrequencyGrid(8.5, 11.5, 1201))
+    stokes_to_csv(st, new)
+    _old_write_csv(old, "omega,stokes_density", zip(st.grid.points(), st.density))
+    assert new.read_bytes() == old.read_bytes()
