@@ -30,6 +30,7 @@ from .core import (
     FrequencyGrid,
     SingularMatrixError,
     SpectrumError,
+    _as_float,
     _as_int,
     _as_ramp,
     _read_doc,
@@ -112,13 +113,12 @@ def _resolve_grid(args, doc: dict, default_half_width: float,
     omega_max = _pick(args, "omega_max", gdoc, "omega_max", None)
     omega_min = _pick(args, "omega_min", gdoc, "omega_min", None)
     points = _pick(args, "points", gdoc, "points", default_points)
-    if omega_max is None:
-        omega_max = center + default_half_width
-    if omega_min is None:
-        omega_min = 2 * center - omega_max
     try:
-        grid = FrequencyGrid(float(omega_min), float(omega_max),
-                             _as_int(points, "points"))
+        omega_max = (center + default_half_width if omega_max is None
+                     else _as_float(omega_max, "omega_max"))
+        omega_min = (2 * center - omega_max if omega_min is None
+                     else _as_float(omega_min, "omega_min"))
+        grid = FrequencyGrid(omega_min, omega_max, _as_int(points, "points"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid frequency grid: {exc}") from exc
     # half of physical memory, checked before any array is allocated
@@ -132,6 +132,13 @@ def _resolve_grid(args, doc: dict, default_half_width: float,
 def _grid_dict(grid: FrequencyGrid) -> dict:
     return {"omega_min": grid.omega_min, "omega_max": grid.omega_max,
             "points": grid.n_points}
+
+
+def _as_floats(values, name: str) -> list:
+    """A config-file list of numbers, each through ``_as_float``."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers")
+    return [_as_float(v, f"{name}[{i}]") for i, v in enumerate(values)]
 
 
 def _parse_floats(text: str, what: str) -> list:
@@ -221,7 +228,8 @@ def cmd_noise(args, doc: dict):
 def cmd_stokes(args, doc: dict):
     config = _resolve_array_config(args, doc)
     # checked here, before the grid is centred on it
-    omega_m = _check_omega_m(float(_pick(args, "omega_m", doc, "omega_m", 10.0)))
+    omega_m = _check_omega_m(_as_float(_pick(args, "omega_m", doc, "omega_m", 10.0),
+                                       "omega_m"))
     grid = _resolve_grid(args, doc, default_half_width=1.5, default_points=2001,
                          center=omega_m)
     sp = stokes_noise_spectrum(config, omega_m, grid)
@@ -237,12 +245,12 @@ def cmd_loss(args, doc: dict):
     if args.values is not None:
         values = _parse_floats(args.values, "--values")
     else:
-        values = doc.get("values", [0.0, 0.005, 0.01, 0.02, 0.05])
+        values = _as_floats(doc.get("values", [0.0, 0.005, 0.01, 0.02, 0.05]), "values")
     rows = efficiency_vs_loss(param, values, materialize_sites(config))
     csv_path = f"{args.out}.csv"
     sweep_to_csv(rows, csv_path)
     return ({"array": config_to_dict(config), "param": param,
-             "values": [float(v) for v in values]}, [csv_path])
+             "values": values}, [csv_path])
 
 
 def cmd_backscatter(args, doc: dict):
@@ -250,8 +258,8 @@ def cmd_backscatter(args, doc: dict):
     if args.ratios is not None:
         ratios = _parse_floats(args.ratios, "--ratios")
     else:
-        ratios = doc.get("ratios", [0.02, 0.05, 0.1, 0.15, 0.2])
-    zeta = float(_pick(args, "zeta", doc, "zeta", 0.0))
+        ratios = _as_floats(doc.get("ratios", [0.02, 0.05, 0.1, 0.15, 0.2]), "ratios")
+    zeta = _as_float(_pick(args, "zeta", doc, "zeta", 0.0), "zeta")
     fit_alpha = bool(_pick(args, "fit_alpha", doc, "fit_alpha", False))
     table = backscatter_efficiency_table(ratios, materialize_sites(config), zeta=zeta)
     csv_path = f"{args.out}.csv"
@@ -262,15 +270,17 @@ def cmd_backscatter(args, doc: dict):
         alpha_path = f"{args.out}_alpha.json"
         alpha_fit_to_json(fit, alpha_path)
         outputs.append(alpha_path)
-    return ({"array": config_to_dict(config), "ratios": [float(r) for r in ratios],
+    return ({"array": config_to_dict(config), "ratios": ratios,
              "zeta": zeta, "fit_alpha": fit_alpha}, outputs)
 
 
 def cmd_optimize(args, doc: dict):
     """Also returns exit code 4 when no profile meets the passband floor."""
     n = _as_int(_pick(args, "n", doc, "n_sites", 2), "n_sites")
-    gamma_total = float(_pick(args, "gamma_total", doc, "gamma_total", 0.05))
-    min_eff = float(_pick(args, "min_eff", doc, "min_efficiency", 0.99))
+    gamma_total = _as_float(_pick(args, "gamma_total", doc, "gamma_total", 0.05),
+                            "gamma_total")
+    min_eff = _as_float(_pick(args, "min_eff", doc, "min_efficiency", 0.99),
+                        "min_efficiency")
     seed = _as_int(_pick(args, "seed", doc, "seed", 97), "seed")
     starts = _as_int(_pick(args, "starts", doc, "starts", 3), "starts")
     problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,

@@ -386,6 +386,16 @@ def _as_int(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
+def _as_float(value, name: str) -> float:
+    """``float(value)``; a value ``float`` cannot convert (null, a non-numeric
+    string, an integer beyond the float range) is a ConfigError naming field
+    ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
+
+
 def _ramp_from_json(value, name: str):
     if isinstance(value, (int, float)):
         return float(value)

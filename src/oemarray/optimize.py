@@ -5,7 +5,9 @@ mechanical resonance with two external rates summing to a fixed budget.
 The objective is the conversion FWHM; a floor on the in-band ripple is
 enforced with a penalty schedule.  A brute-force grid oracle covers the
 small arrays, and profiles can be summarized by their best-fit tanh
-steepness.
+steepness.  scipy imports stay inside the functions that call them, since
+every CLI run would otherwise pay them at start-up (``scipy.optimize`` takes
+about 0.6 s to import, ``scipy.linalg`` alone about 0.5 s).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .core import FrequencyGrid, SpectrumError, _write_json
 from .transducer import EliminatedSite
@@ -154,6 +155,8 @@ def _start_profiles(problem: OptimizationProblem, n_random: int,
 
 
 def _local_search(start: np.ndarray, problem: OptimizationProblem):
+    from scipy.optimize import minimize
+
     w = _grid_for(problem).points()
     # surrogate values by clipped profile: Nelder-Mead and the floor walk
     # revisit profiles, and each is computed once per search
@@ -311,6 +314,8 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     are appended before fitting, anchoring the ramp shape even for short
     arrays.
     """
+    from scipy.optimize import minimize_scalar
+
     prof = np.asarray(gamma1_per_site, dtype=float)
     n = len(prof)
     if n < 3:

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import oemarray
 import oemarray.cli as cli
 from oemarray import ConfigError, load_config
 from oemarray.cli import main
@@ -21,6 +24,9 @@ def read_rows(path):
     lines = path.read_text().strip().split("\n")
     return lines[0], [line.split(",") for line in lines[1:]]
 
+
+# a JSON integer literal that float() cannot convert
+HUGE_INT = "1" + "0" * 400
 
 FIG2 = {
     "schema_version": "1",
@@ -224,6 +230,27 @@ class TestExitCodes:
         path.write_text('{"schema_version": "1", ' + fields + "}")
         assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{name} must be an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command,fields,name", [
+        ("spectrum", '"grid": {"omega_max": %s}' % HUGE_INT, "omega_max"),
+        ("optimize", '"gamma_total": %s' % HUGE_INT, "gamma_total"),
+        ("stokes", '"omega_m": %s' % HUGE_INT, "omega_m"),
+        ("backscatter", '"zeta": %s' % HUGE_INT, "zeta"),
+        ("backscatter", '"ratios": [0.1, %s]' % HUGE_INT, "ratios[1]"),
+        ("loss", '"values": [0.1, %s]' % HUGE_INT, "values[1]"),
+        ("optimize", '"min_efficiency": null', "min_efficiency"),
+        ("backscatter", '"ratios": 0.1', "ratios"),
+    ], ids=["spectrum-omega_max", "optimize-gamma_total", "stokes-omega_m",
+            "backscatter-zeta", "backscatter-ratio", "loss-value",
+            "optimize-null-min_efficiency", "backscatter-ratios-not-a-list"])
+    def test_unconvertible_config_number_exits_two(self, tmp_path, capsys, command,
+                                                   fields, name):
+        # float() of an integer literal beyond the float range overflows
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": "1", ' + fields + "}")
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{name} must be a" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
@@ -443,6 +470,30 @@ class TestParserReuse:
         assert main(["spectrum", "--n", "4", "--points", "101",
                      "--out", str(tmp_path / "second")]) == 0
         assert seen == [4]
+
+
+_IMPORT_PROBE = """
+import json, sys
+import oemarray.cli
+loaded = [sorted(m for m in ("scipy", "oemarray.optimize") if m in sys.modules)]
+rc = oemarray.cli.main(["spectrum", "--n", "3", "--points", "101", "--out", sys.argv[1]])
+loaded.append(sorted(m for m in ("scipy", "oemarray.optimize") if m in sys.modules))
+print(json.dumps({"rc": rc, "loaded": loaded}))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy.optimize is imported inside the optimizer functions that call it,
+    # so a run that does not optimize never pays its import time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oemarray.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "sp")],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    # oemarray.optimize itself stays eagerly imported: it is public API, and the
+    # benchmark reads its import time from an `-X importtime` report of
+    # `import oemarray.cli`, which must list the module
+    assert result["loaded"] == [["oemarray.optimize"], ["oemarray.optimize"]]
 
 
 class TestVersion:

@@ -2,7 +2,7 @@
 
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
-        [--workloads spectra,optimize] [--pairs 10] --out BENCH_<n>.json
+        [--workloads spectra,optimize] [--pairs 10] [--readme] --out BENCH_<n>.json
 
 Pair S (S = 1, 2, ...) runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, with that checkout as the
@@ -11,6 +11,14 @@ benchmark.  Both runs of a pair use the same seed; the side that runs first
 alternates (the parent on odd seeds).  The run length T (``run_seconds``)
 and the end-to-end metrics with their directions are read from CHANGE_DIR's
 ``BENCHMARK.json``.
+
+With ``--readme``, pair K (K = 1, 2, ..., the same number of pairs) then
+runs each checkout's own ``tools/readme_outputs.py`` into a temporary
+directory per side, in the same alternating order, and records the process
+wall time that tool prints for each README command.  After the last pair,
+``readme_outputs.compare`` checks the change's data files and manifests
+against the parent's, and its report is recorded; the exit code is 1 when
+they differ.
 
 The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
@@ -23,13 +31,19 @@ line count (the lines of ``src/**/*.py``).  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
+import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+
+import readme_outputs
 
 SIDES = ("parent", "change")
 
@@ -74,6 +88,51 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
+# the line readme_outputs.py prints per command: exit code, wall time, command
+_README_LINE = re.compile(r"^exit (-?\d+)\s+([0-9.]+) s  oemarray (.+)$")
+
+
+def run_readme(checkout: str, outdir: str) -> dict:
+    """One run of a checkout's ``tools/readme_outputs.py`` into ``outdir``; the
+    process wall time in seconds of each README command, keyed by the command."""
+    command = [sys.executable, "tools/readme_outputs.py", outdir]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} in {checkout} exited "
+                           f"{proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {m.group(3): float(m.group(2))
+            for m in map(_README_LINE.match, proc.stdout.splitlines()) if m}
+
+
+def readme_pairs(dirs: dict, n_pairs: int) -> dict:
+    """README command wall times in alternating pairs, then the output comparison."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outdirs = {side: os.path.join(tmp, side) for side in SIDES}
+        pairs = []
+        for k in range(1, n_pairs + 1):
+            order = SIDES if k % 2 else SIDES[::-1]
+            pair = {"pair": k, "first": order[0]}
+            for side in order:
+                pair[side] = run_readme(dirs[side], outdirs[side])
+            pairs.append(pair)
+            print(f"readme pair {k}: " + ", ".join(
+                f"{side} {sum(pair[side].values()):.2f} s" for side in SIDES), flush=True)
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report):
+            identical = readme_outputs.compare(outdirs["change"], outdirs["parent"])
+    commands = [c for c in pairs[0]["change"] if c in pairs[0]["parent"]]
+    return {
+        "description": (
+            "Process wall time in seconds of each README command, as "
+            "`tools/readme_outputs.py OUTDIR` prints it, each side running its own "
+            "tool in alternating pairs, the parent first on odd pairs; then the "
+            "change's outputs compared with the parent's (`readme_outputs.compare`)."),
+        "pairs": pairs,
+        "summary": summarize(pairs, [{"name": c, "better": "lower"} for c in commands]),
+        "compare": {"identical": identical, "report": report.getvalue().splitlines()},
+    }
+
+
 def _quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -99,9 +158,18 @@ def summarize(pairs: list, metrics: list) -> dict:
             "parent_iqr": iqr,
             "median_gain_exceeds_parent_iqr": (gain if lower else -gain) > iqr,
         }
-    summary["failed_ratio_max"] = {side: max(p[side]["failed_ratio"] for p in pairs)
-                                   for side in SIDES}
     return summary
+
+
+def _print_summary(label: str, summary: dict) -> None:
+    for name, s in summary.items():
+        if name == "failed_ratio_max":
+            print(f"{label:9s} failed_ratio_max parent {s['parent']:g} "
+                  f"change {s['change']:g}")
+            continue
+        print(f"{label:9s} {name:12s} parent {s['parent']['median']:.4g} "
+              f"change {s['change']['median']:.4g}  won {s['change_better_pairs']}/"
+              f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}")
 
 
 def main(argv=None) -> int:
@@ -112,6 +180,9 @@ def main(argv=None) -> int:
                         help="comma-separated workloads (default: %(default)s)")
     parser.add_argument("--pairs", type=int, default=10,
                         help="pairs per workload, at least 2 (default: %(default)s)")
+    parser.add_argument("--readme", action="store_true",
+                        help="also time the README commands in alternating pairs "
+                             "and compare their outputs")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -131,6 +202,12 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {},
     }
+
+    def write() -> None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
     for workload in args.workloads.split(","):
         pairs = []
         for seed in range(1, args.pairs + 1):
@@ -142,21 +219,22 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} p50 {pair[side]['job_ms_p50']:.1f} ms tail "
                 f"{pair[side]['job_ms_tail']:.1f} ms" for side in SIDES), flush=True)
-        doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        summary = summarize(pairs, metrics)
+        summary["failed_ratio_max"] = {side: max(p[side]["failed_ratio"] for p in pairs)
+                                       for side in SIDES}
+        doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        write()
+    if args.readme:
+        doc["readme"] = readme_pairs(dirs, args.pairs)
+        write()
 
     print("src lines: " + ", ".join(f"{side} {doc['src_lines'][side]}" for side in SIDES))
     for workload, entry in doc["workloads"].items():
-        for name, s in entry["summary"].items():
-            if name == "failed_ratio_max":
-                print(f"{workload:9s} failed_ratio_max parent {s['parent']:g} "
-                      f"change {s['change']:g}")
-                continue
-            print(f"{workload:9s} {name:12s} parent {s['parent']['median']:.4g} "
-                  f"change {s['change']['median']:.4g}  won {s['change_better_pairs']}/"
-                  f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}")
+        _print_summary(workload, entry["summary"])
+    if args.readme:
+        _print_summary("readme", doc["readme"]["summary"])
+        print("\n".join(doc["readme"]["compare"]["report"]))
+        return 0 if doc["readme"]["compare"]["identical"] else 1
     return 0
 
 
