@@ -89,7 +89,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 # the line readme_outputs.py prints per command: exit code, wall time, command
-_README_LINE = re.compile(r"^exit (-?\d+)\s+([0-9.]+) s  oemarray (.+)$")
+_README_LINE = re.compile(r"^exit -?\d+\s+([0-9.]+) s  oemarray (.+)$")
 
 
 def run_readme(checkout: str, outdir: str) -> dict:
@@ -100,7 +100,7 @@ def run_readme(checkout: str, outdir: str) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited "
                            f"{proc.returncode}:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
-    return {m.group(3): float(m.group(2))
+    return {m.group(2): float(m.group(1))
             for m in map(_README_LINE.match, proc.stdout.splitlines()) if m}
 
 
