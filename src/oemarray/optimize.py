@@ -2,12 +2,16 @@
 
 The search runs in the cavity-eliminated picture, where each site is a
 mechanical resonance with two external rates summing to a fixed budget.
-The objective is the conversion FWHM; a floor on the in-band ripple is
-enforced with a penalty schedule.  A brute-force grid oracle covers the
-small arrays, and profiles can be summarized by their best-fit tanh
-steepness.  scipy imports stay inside the functions that call them, since
-every CLI run would otherwise pay them at start-up (``scipy.optimize`` takes
-about 0.6 s to import, ``scipy.linalg`` alone about 0.5 s).
+The objective is the conversion FWHM of the sampled spectrum, with
+crossings interpolated between grid points, and a floor on the in-band
+ripple is an inequality constraint.  Both are piecewise smooth in the rate
+fractions, and their exact gradients come from one adjoint sweep of the
+cascade, so each start is one gradient-based SLSQP solve.  A brute-force
+grid oracle covers the small arrays, and profiles can be summarized by
+their best-fit tanh steepness.  scipy imports stay inside the functions
+that call them, since every CLI run would otherwise pay them at start-up
+(``scipy.optimize`` takes about 0.6 s to import, ``scipy.linalg`` alone
+about 0.5 s).
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import FrequencyGrid, SpectrumError, _write_json
-from .transducer import EliminatedSite
-from .cascade import _halfmax, array_transfer, eliminated_spectrum, extract_bandwidth
+from .transducer import EliminatedSite, scattering_eliminated
+from .cascade import (_entries, _halfmax, _mul2, array_transfer, eliminated_spectrum,
+                      extract_bandwidth)
 
 __all__ = [
     "OptimizationProblem",
@@ -32,7 +37,6 @@ __all__ = [
     "result_to_json",
 ]
 
-_PENALTY_STAGES = (1e2, 1e4, 1e6)
 _FRAC_FLOOR = 1e-4
 
 
@@ -96,6 +100,13 @@ def _sites_for(fracs: np.ndarray, gamma_total: float) -> List[EliminatedSite]:
             for f in fracs]
 
 
+def _cross(w: np.ndarray, v: np.ndarray, half: float, ia: int, ib: int) -> float:
+    """Half-max crossing linearly interpolated between grid points ia and ib."""
+    wa, wb = w[ia], w[ib]
+    va, vb = v[ia], v[ib]
+    return wa + (half - va) * (wb - wa) / (vb - va)
+
+
 def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
                   w: np.ndarray) -> Tuple[float, float]:
     """(fwhm, passband_min) from the sampled spectrum alone.
@@ -110,15 +121,73 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
         return 0.0, 0.0
+    return float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0)), pb_min
 
-    def cross(ia, ib):
-        wa, wb = w[ia], w[ib]
-        va, vb = v[ia], v[ib]
-        return wa + (half - va) * (wb - wa) / (vb - va)
 
-    lo = cross(i0 - 1, i0)
-    hi = cross(i1, i1 + 1)
-    return float(hi - lo), pb_min
+def _prefix_products(fracs: np.ndarray, gamma_total: float, w: np.ndarray):
+    """Site matrices and prefix products P_j = S_j ... S_1 of the eliminated
+    cascade, as entry tuples; P_N is ``array_transfer``'s result bit for bit."""
+    s = [_entries(scattering_eliminated(site, w)) for site in _sites_for(fracs, gamma_total)]
+    prefix = [s[0]]
+    for sj in s[1:]:
+        prefix.append(_mul2(sj, prefix[-1]))
+    return s, prefix
+
+
+def _t21_gradient(fracs: np.ndarray, u: np.ndarray, s, prefix, idx) -> np.ndarray:
+    """dT21/df_j at the grid points ``idx`` (row j), by one adjoint sweep.
+
+    ``s`` and ``prefix`` come from ``_prefix_products``, and ``u`` is the
+    frequencies at ``idx`` over the rate budget.  The sweep carries row 1 of
+    the suffix products Q_j = S_N ... S_{j+1}, so that dT21/df_j =
+    (Q_j dS_j P_{j-1})_10.  Since G1 + G2 is the fixed budget, the site
+    denominator does not depend on f, and dS/df = [[-4, -2k], [-2k, 4]] /
+    (2 - i*u) with k = (1 - 2f) / sqrt(f(1 - f)).
+    """
+    den = 2 - 1j * u
+    grad = np.empty((len(fracs), len(idx)), dtype=complex)
+    r0, r1 = np.zeros(len(idx), dtype=complex), np.ones(len(idx), dtype=complex)
+    for j in range(len(fracs) - 1, -1, -1):
+        f = fracs[j]
+        k = (1 - 2 * f) / math.sqrt(f * (1 - f))
+        c0, c1 = (prefix[j - 1][0][idx], prefix[j - 1][2][idx]) if j else (1.0, 0.0)
+        grad[j] = (-4 * (r0 * c0 - r1 * c1) - 2 * k * (r0 * c1 + r1 * c0)) / den
+        s00, s01, s10, s11 = (e[idx] for e in s[j])
+        r0, r1 = r0 * s00 + r1 * s10, r0 * s01 + r1 * s11
+    return grad
+
+
+def _grid_metrics_grad(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray):
+    """``_grid_metrics`` bit for bit, plus the gradients of both metrics in
+    the rate fractions.
+
+    The metrics depend on six samples of |T21|^2: the two pairs around the
+    crossings, the peak (the half level is half of it) and the ripple floor.
+    Each crossing is differentiated through its interpolation formula and
+    the floor as the sample at its minimum, so the adjoint sweep runs only
+    at those six points.
+    """
+    s, prefix = _prefix_products(fracs, problem.gamma_total, w)
+    t21 = prefix[-1][2]
+    v = np.abs(t21) ** 2
+    try:
+        _, half, i0, i1, pb_min = _halfmax(v)
+    except SpectrumError:
+        zero = np.zeros(len(fracs))
+        return 0.0, 0.0, zero, zero
+    i_floor = i0 + int(np.argmax(v[i0:i1 + 1] == pb_min))
+    idx = np.array([i0 - 1, i0, i1, i1 + 1, int(np.argmax(v)), i_floor])
+    dt = _t21_gradient(fracs, w[idx] / problem.gamma_total, s, prefix, idx)
+    dv = 2 * (t21[idx].conjugate() * dt).real
+    dhalf = dv[:, 4] / 2
+
+    def dcross(ia, ib, col):
+        dva, dvb = dv[:, col], dv[:, col + 1]
+        run, rise = w[ib] - w[ia], v[ib] - v[ia]
+        return run * ((dhalf - dva) * rise - (half - v[ia]) * (dvb - dva)) / rise ** 2
+
+    fwhm = _cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0)
+    return float(fwhm), pb_min, dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0), dv[:, 5]
 
 
 def eliminated_bandwidth(gamma1_per_site: Sequence[float],
@@ -149,7 +218,7 @@ def _start_profiles(problem: OptimizationProblem, n_random: int,
     for beta in (2.0, 4.5, 8.0):
         starts.append(0.5 * (np.tanh(beta * (d - 0.5)) + 1.0))
     rng = np.random.default_rng(seed)
-    for _ in range(max(n_random, 3)):
+    for _ in range(n_random):
         starts.append(rng.uniform(0.02, 0.5, size=m))
     return starts
 
@@ -158,55 +227,46 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
     from scipy.optimize import minimize
 
     w = _grid_for(problem).points()
-    # surrogate values by clipped profile: Nelder-Mead and the floor walk
-    # revisit profiles, and each is computed once per search
+    m = len(start)
+    # surrogate values and gradients by clipped profile: SLSQP asks for the
+    # objective, the constraint and both gradients at the same point, and
+    # each profile is computed once per search
     seen = {}
 
-    def metrics(xc: np.ndarray) -> Tuple[float, float]:
+    def metrics(x: np.ndarray):
+        xc = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
         key = xc.tobytes()
         if key not in seen:
-            seen[key] = _grid_metrics(
+            fwhm, pb, d_fwhm, d_pb = _grid_metrics_grad(
                 _mirror_fractions(xc, problem.n_sites), problem, w)
+            # the mirror sets f_{N-1-i} = 1 - x_i
+            seen[key] = fwhm, pb, d_fwhm[:m] - d_fwhm[::-1][:m], d_pb[:m] - d_pb[::-1][:m]
         return seen[key]
 
-    def cost(x: np.ndarray, rho: float) -> float:
-        xc = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
-        overrun = float(np.sum((x - xc) ** 2))
-        fwhm, pb = metrics(xc)
-        if fwhm <= 0:
-            return 1e3 * (1 + overrun)
-        viol = max(0.0, problem.min_efficiency - pb)
-        return -fwhm + rho * viol ** 2 + 1e3 * overrun
+    # the width in units of the budget, since SLSQP's ftol is absolute.  The
+    # metrics' slopes jump where a crossing or the floor moves to another
+    # grid point, so near the ridge SLSQP zigzags until maxiter; by 50
+    # iterations the endpoints sit within optimize_couplings' tie tolerance
+    scale = -1.0 / problem.gamma_total
+    res = minimize(
+        lambda x: scale * metrics(x)[0], start.astype(float),
+        jac=lambda x: scale * metrics(x)[2], method="SLSQP",
+        bounds=[(_FRAC_FLOOR, 1 - _FRAC_FLOOR)] * m,
+        constraints=[{"type": "ineq",
+                      "fun": lambda x: metrics(x)[1] - problem.min_efficiency,
+                      "jac": lambda x: metrics(x)[3]}],
+        options={"ftol": 1e-12, "maxiter": 50})
+    x = np.clip(res.x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
 
-    x = start.astype(float)
-    for rho in _PENALTY_STAGES:
-        res = minimize(cost, x, args=(rho,), method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12,
-                                "maxiter": 400 * max(len(x), 1)})
-        x = res.x
-    x = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
-
-    # the penalty endpoint settles a hair below the ripple floor; walk up
-    # the floor's gradient until the constraint holds exactly
-    def ripple_floor(v: np.ndarray) -> float:
-        return metrics(v)[1]
-
-    pb = ripple_floor(x)
+    # the solve can stop a hair below the ripple floor on this piecewise
+    # smooth surrogate; Newton steps along the floor's gradient restore it
     for _ in range(12):
+        _, pb, _, grad = metrics(x)
         deficit = problem.min_efficiency - pb
-        if deficit <= 0:
-            break
-        h = 1e-6
-        grad = np.array([
-            (ripple_floor(np.clip(x + h * e, _FRAC_FLOOR, 1 - _FRAC_FLOOR))
-             - pb) / h
-            for e in np.eye(len(x))])
         norm2 = float(grad @ grad)
-        if norm2 < 1e-12:
+        if deficit <= 0 or norm2 < 1e-12:
             break
-        x = np.clip(x + (1.2 * deficit / norm2) * grad,
-                    _FRAC_FLOOR, 1 - _FRAC_FLOOR)
-        pb = ripple_floor(x)
+        x = np.clip(x + (1.2 * deficit / norm2) * grad, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
     return x, len(seen)
 
 
@@ -231,13 +291,18 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
                        seed: int = 97, workers: int = 1) -> OptimizationResult:
     """Multi-start constrained search for the widest conversion band.
 
-    Runs a derivative-free local search from ramp-shaped and randomized
-    starting profiles with an increasing penalty on ripple below the
-    efficiency floor, then reports the best feasible profile.  The starts
+    From each of five ramp-shaped starting profiles and ``n_random_starts``
+    random ones, one SLSQP solve maximizes the sampled-spectrum FWHM subject
+    to the ripple floor, with both gradients exact (one adjoint sweep of the
+    cascade per profile); a few Newton steps along the floor's gradient then
+    lift an endpoint that stopped just below the floor.  Each endpoint is
+    refined by bisection, and the best feasible one is reported.  The starts
     run one after another; ``workers`` must be 1.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the search is serial")
+    if n_random_starts < 0:
+        raise ValueError(f"n_random_starts must be >= 0, got {n_random_starts!r}")
     if problem.n_sites == 1:
         return _finalize(np.empty(0), problem, evals=1)
 

@@ -428,6 +428,28 @@ class TestOptimize:
         assert main(["optimize", "--n", "0",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_zero_random_starts_runs_the_five_ramp_starts(self, tmp_path, monkeypatch):
+        import oemarray.optimize as opt
+        starts = []
+        search = opt._local_search
+
+        def counted_search(start, problem):
+            starts.append(start)
+            return search(start, problem)
+
+        monkeypatch.setattr(opt, "_local_search", counted_search)
+        out = str(tmp_path / "opt")
+        assert main(["optimize", "--n", "2", "--starts", "0", "--out", out]) == 0
+        assert len(starts) == 5
+        manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
+        assert manifest["config"]["starts"] == 0
+
+    def test_negative_starts_exits_two(self, tmp_path, capsys):
+        assert main(["optimize", "--n", "2", "--starts", "-1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "starts" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     """`main` builds its parser once per process and reuses it."""

@@ -6,9 +6,10 @@ import pytest
 import oemarray.optimize as opt
 from oemarray.core import FrequencyGrid
 from oemarray.transducer import EliminatedSite
-from oemarray.cascade import eliminated_spectrum, extract_bandwidth
+from oemarray.cascade import array_transfer, eliminated_spectrum, extract_bandwidth
 from oemarray.optimize import (OptimizationProblem, OptimizationResult,
-                               _grid_for, _grid_metrics, _sites_for,
+                               _grid_for, _grid_metrics, _grid_metrics_grad,
+                               _prefix_products, _sites_for, _t21_gradient,
                                eliminated_bandwidth, fit_tanh_beta,
                                grid_oracle, optimize_couplings,
                                result_to_json)
@@ -77,9 +78,9 @@ class TestTwoSites:
     def test_result_is_pinned_bit_for_bit(self, n2_result):
         _, r = n2_result
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.0da9ed53cb539p-7", "0x1.562f1e44a6c4cp-5"]
+            "0x1.0da9f78fb7cd5p-7", "0x1.562f1bb5aba65p-5"]
         assert r.bandwidth.hex() == "0x1.53f8a94d242e8p-2"
-        assert r.passband_min.hex() == "0x1.fae14b1d75c59p-1"
+        assert r.passband_min.hex() == "0x1.fae147aeb6898p-1"
 
     def test_agrees_with_grid_oracle(self, n2_result):
         problem, r = n2_result
@@ -122,9 +123,9 @@ class TestGridOracle:
                                    atol=resolution)
         assert o.gamma1_per_site[1] == pytest.approx(0.025, abs=1e-12)
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.35f5c4ac1aa6cp-8", "0x1.999999999999ap-6", "0x1.72dae1041644cp-5"]
+            "0x1.35f5cf12978acp-8", "0x1.999999999999ap-6", "0x1.72dadfb746a84p-5"]
         assert r.bandwidth.hex() == "0x1.089206d3a06d2p-1"
-        assert r.passband_min.hex() == "0x1.e66669537beb1p-1"
+        assert r.passband_min.hex() == "0x1.e666666669270p-1"
 
     def test_rejects_larger_arrays(self):
         with pytest.raises(ValueError, match="n_sites <= 3"):
@@ -147,12 +148,60 @@ class TestSurrogate:
             assert pb_min == bw.passband_min
             assert abs(fwhm - bw.fwhm) <= step
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_gradient_path_gives_the_same_bits(self, n):
+        problem = OptimizationProblem(n_sites=n, gamma_total=GAMMA, min_efficiency=0.9)
+        w = _grid_for(problem).points()
+        d = np.arange(1, n + 1) / (n + 1)
+        for fracs in (np.full(n, 0.5), d, 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)):
+            fwhm, pb_min, _, _ = _grid_metrics_grad(fracs, problem, w)
+            assert (fwhm.hex(), pb_min.hex()) == tuple(
+                x.hex() for x in _grid_metrics(fracs, problem, w))
+
+    def test_metric_gradients_match_central_differences(self):
+        # away from the grid-point switches both metrics are smooth, and
+        # the adjoint gradients agree with differences of the surrogate
+        problem = OptimizationProblem(n_sites=6, gamma_total=GAMMA, min_efficiency=0.9)
+        w = _grid_for(problem).points()
+        fracs = np.array([0.05, 0.2, 0.35, 0.65, 0.8, 0.95])
+        _, _, d_fwhm, d_pb = _grid_metrics_grad(fracs, problem, w)
+        h = 1e-7
+        for j, e in enumerate(np.eye(6)):
+            up = _grid_metrics(fracs + h * e, problem, w)
+            down = _grid_metrics(fracs - h * e, problem, w)
+            assert d_fwhm[j] == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-5, abs=1e-9)
+            assert d_pb[j] == pytest.approx((up[1] - down[1]) / (2 * h), rel=1e-5, abs=1e-9)
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+    def test_matches_central_differences_of_the_cascade(self, n):
+        rng = np.random.default_rng(1000 + n)
+        fracs = rng.uniform(0.05, 0.95, size=n)
+        w = _grid_for(OptimizationProblem(n_sites=n, gamma_total=GAMMA)).points()
+        s, prefix = _prefix_products(fracs, GAMMA, w)
+        t = array_transfer(_sites_for(fracs, GAMMA), w)
+        assert all(np.array_equal(p, t[..., i, j])
+                   for p, (i, j) in zip(prefix[-1], [(0, 0), (0, 1), (1, 0), (1, 1)]))
+
+        grad = _t21_gradient(fracs, w / GAMMA, s, prefix, np.arange(len(w)))
+
+        def t21(f):
+            sites = [EliminatedSite(gamma1=x * GAMMA, gamma2=(1 - x) * GAMMA) for x in f]
+            return array_transfer(sites, w)[..., 1, 0]
+
+        h = 1e-6
+        for j, e in enumerate(np.eye(n)):
+            fd = (t21(fracs + h * e) - t21(fracs - h * e)) / (2 * h)
+            assert np.max(np.abs(grad[j] - fd)) <= 1e-6 * np.max(np.abs(fd))
+
 
 def test_each_profile_is_evaluated_once_per_search(monkeypatch):
-    # Nelder-Mead and the floor walk revisit profiles; a search computes
-    # each distinct one once, and the result counts exactly those
+    # SLSQP asks for the objective, the constraint and their gradients at
+    # the same point; a search computes each distinct profile once, and the
+    # result counts exactly those
     calls = []
-    search, metrics = opt._local_search, opt._grid_metrics
+    search, metrics = opt._local_search, opt._grid_metrics_grad
 
     def counted_search(start, problem):
         calls.append([])
@@ -163,13 +212,64 @@ def test_each_profile_is_evaluated_once_per_search(monkeypatch):
         return metrics(fracs, problem, *args)
 
     monkeypatch.setattr(opt, "_local_search", counted_search)
-    monkeypatch.setattr(opt, "_grid_metrics", counted_metrics)
+    monkeypatch.setattr(opt, "_grid_metrics_grad", counted_metrics)
     r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05,
                                                min_efficiency=0.99))
     assert len(calls) == 8
     for profiles in calls:
         assert len(set(profiles)) == len(profiles)
     assert r.evaluations == sum(len(p) for p in calls)
+
+
+class TestStarts:
+    @staticmethod
+    def searches(monkeypatch, n_random_starts):
+        starts = []
+        search = opt._local_search
+
+        def counted_search(start, problem):
+            starts.append(start)
+            return search(start, problem)
+
+        monkeypatch.setattr(opt, "_local_search", counted_search)
+        r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05),
+                               n_random_starts=n_random_starts)
+        assert r.converged
+        return len(starts)
+
+    @pytest.mark.parametrize("n_random,searches", [(0, 5), (1, 6)])
+    def test_runs_exactly_the_requested_random_starts(self, monkeypatch, n_random,
+                                                      searches):
+        # five ramp-shaped starts, then the random ones
+        assert self.searches(monkeypatch, n_random) == searches
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n_random_starts must be >= 0"):
+            optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05),
+                               n_random_starts=-1)
+
+
+def test_search_is_scale_free():
+    # every rate and frequency scales with the budget, so the optimum's
+    # rate fractions and bandwidth in units of the budget do not depend on
+    # it.  The reported width is refined to an absolute 1e-6, which at a
+    # budget of 1e-200 is no refinement at all, so each run's profile is
+    # also measured again at a budget of 0.05.
+    fractions, widths = [], []
+    for gamma_total in (1e-200, 0.05, 1e3):
+        problem = OptimizationProblem(n_sites=2, gamma_total=gamma_total,
+                                      min_efficiency=0.99)
+        r = optimize_couplings(problem)
+        assert r.converged
+        assert r.passband_min >= 0.99 - 1e-6
+        f = np.array(r.gamma1_per_site) / gamma_total
+        fractions.append(f)
+        widths.append(eliminated_bandwidth(0.05 * f, 0.05).fwhm / 0.05)
+        if gamma_total >= 0.05:
+            widths.append(r.bandwidth / gamma_total)
+    for f in fractions[1:]:
+        np.testing.assert_allclose(f, fractions[0], rtol=1e-6)
+    np.testing.assert_allclose(widths, widths[0], rtol=1e-6)
 
 
 class TestOptimizerInvariants:

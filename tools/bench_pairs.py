@@ -2,7 +2,8 @@
 
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
-        [--workloads spectra,optimize] [--pairs 10] [--readme] --out BENCH_<n>.json
+        [--workloads spectra,optimize] [--pairs 10] [--readme] [--tier1 K] \
+        --out BENCH_<n>.json
 
 Pair S (S = 1, 2, ...) runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, with that checkout as the
@@ -19,6 +20,11 @@ wall time that tool prints for each README command.  After the last pair,
 ``readme_outputs.compare`` checks the change's data files and manifests
 against the parent's, and its report is recorded; the exit code is 1 when
 they differ.
+
+With ``--tier1 K`` (K = 0, the default, is off; otherwise at least 2), K more
+alternating pairs run the Tier-1 suite, ``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``, in each checkout, and record its wall time
+and the passed, failed and error counts of pytest's last line.
 
 The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
@@ -133,6 +139,54 @@ def readme_pairs(dirs: dict, n_pairs: int) -> dict:
     }
 
 
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# the counts on pytest's last line, e.g. "2 failed, 353 passed, 1 warning in 97.10s"
+_PYTEST_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+
+
+def run_tier1(checkout: str) -> dict:
+    """One Tier-1 run in a checkout: wall time, counts and exit code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - started
+    lines = proc.stdout.strip().splitlines()
+    record = {"wall_s": wall, "passed": 0, "failed": 0, "errors": 0,
+              "exit": proc.returncode, "last_line": lines[-1] if lines else ""}
+    for number, word in _PYTEST_COUNT.findall(record["last_line"]):
+        record["errors" if word.startswith("error") else word] = int(number)
+    return record
+
+
+def tier1_pairs(dirs: dict, n_pairs: int) -> dict:
+    """Tier-1 wall time and test counts in alternating pairs."""
+    pairs = []
+    for k in range(1, n_pairs + 1):
+        order = SIDES if k % 2 else SIDES[::-1]
+        pair = {"pair": k, "first": order[0]}
+        for side in order:
+            pair[side] = run_tier1(dirs[side])
+        pairs.append(pair)
+        print(f"tier1 pair {k}: " + ", ".join(
+            f"{side} {pair[side]['wall_s']:.1f} s {pair[side]['passed']} passed "
+            f"{pair[side]['failed']} failed" for side in SIDES), flush=True)
+    return {
+        "description": (
+            "The Tier-1 suite, `PYTHONPATH=src python -m pytest -q "
+            "--continue-on-collection-errors`, run in each checkout in alternating "
+            "pairs, the parent first on odd pairs: process wall time in seconds and "
+            "the counts of pytest's last line."),
+        "pairs": pairs,
+        "summary": summarize(pairs, [{"name": "wall_s", "better": "lower"},
+                                     {"name": "passed", "better": "higher"},
+                                     {"name": "failed", "better": "lower"},
+                                     {"name": "errors", "better": "lower"}]),
+    }
+
+
 def _quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -154,7 +208,8 @@ def summarize(pairs: list, metrics: list) -> dict:
             "change_better_pairs": won,
             "pairs": len(pairs),
             "median_ratio_change_over_parent":
-                stats["change"]["median"] / stats["parent"]["median"],
+                stats["change"]["median"] / stats["parent"]["median"]
+                if stats["parent"]["median"] else None,
             "parent_iqr": iqr,
             "median_gain_exceeds_parent_iqr": (gain if lower else -gain) > iqr,
         }
@@ -183,10 +238,15 @@ def main(argv=None) -> int:
     parser.add_argument("--readme", action="store_true",
                         help="also time the README commands in alternating pairs "
                              "and compare their outputs")
+    parser.add_argument("--tier1", type=int, default=0, metavar="K",
+                        help="also run the Tier-1 suite in K alternating pairs, "
+                             "0 for none or at least 2 (default: %(default)s)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.tier1 == 1 or args.tier1 < 0:
+        parser.error("--tier1 must be 0 or at least 2")
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -227,10 +287,15 @@ def main(argv=None) -> int:
     if args.readme:
         doc["readme"] = readme_pairs(dirs, args.pairs)
         write()
+    if args.tier1:
+        doc["tier1"] = tier1_pairs(dirs, args.tier1)
+        write()
 
     print("src lines: " + ", ".join(f"{side} {doc['src_lines'][side]}" for side in SIDES))
     for workload, entry in doc["workloads"].items():
         _print_summary(workload, entry["summary"])
+    if args.tier1:
+        _print_summary("tier1", doc["tier1"]["summary"])
     if args.readme:
         _print_summary("readme", doc["readme"]["summary"])
         print("\n".join(doc["readme"]["compare"]["report"]))
