@@ -429,15 +429,14 @@ class TestOptimize:
                      "--out", str(tmp_path / "x")]) == 2
 
     def test_zero_random_starts_runs_the_five_ramp_starts(self, tmp_path, monkeypatch):
-        import oemarray.optimize as opt
         starts = []
-        search = opt._local_search
+        search = oemarray.optimize._local_search
 
         def counted_search(start, problem):
             starts.append(start)
             return search(start, problem)
 
-        monkeypatch.setattr(opt, "_local_search", counted_search)
+        monkeypatch.setattr(oemarray.optimize, "_local_search", counted_search)
         out = str(tmp_path / "opt")
         assert main(["optimize", "--n", "2", "--starts", "0", "--out", out]) == 0
         assert len(starts) == 5
