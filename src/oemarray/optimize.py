@@ -3,10 +3,10 @@
 The search runs in the cavity-eliminated picture, where each site is a
 mechanical resonance with two external rates summing to a fixed budget.
 The objective is the conversion FWHM of the sampled spectrum, with
-crossings interpolated between grid points, and a floor on the in-band
-ripple is an inequality constraint.  Both are piecewise smooth in the rate
-fractions, and their exact gradients come from one adjoint sweep of the
-cascade, so each start is one gradient-based SLSQP solve.  A brute-force
+crossings interpolated between grid points, and each in-band ripple trough
+is held above a floor by an inequality constraint.  All are piecewise smooth
+in the rate fractions, and their exact gradients come from one adjoint sweep
+of the cascade, so each start is one gradient-based SLSQP solve.  A brute-force
 grid oracle covers the small arrays, and profiles can be summarized by
 their best-fit tanh steepness.  scipy imports stay inside the functions
 that call them, since every CLI run would otherwise pay them at start-up
@@ -23,9 +23,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import FrequencyGrid, SpectrumError, _write_json
-from .transducer import EliminatedSite, scattering_eliminated
-from .cascade import (_entries, _halfmax, _mul2, array_transfer, eliminated_spectrum,
-                      extract_bandwidth)
+from .transducer import EliminatedSite
+from .cascade import _halfmax, array_transfer, eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -107,78 +106,81 @@ def _cross(w: np.ndarray, v: np.ndarray, half: float, ia: int, ib: int) -> float
     return wa + (half - va) * (wb - wa) / (vb - va)
 
 
+def _t21_gradient(fracs: np.ndarray, gamma_total: float, omega: np.ndarray) -> np.ndarray:
+    """dT21/df_j of the eliminated cascade at the frequencies ``omega`` (row j).
+
+    With u = omega / gamma_total and d = 2(2f - 1), a site is [[-d - iu,
+    o], [o, d - iu]] / (2 - iu) with o = -4 sqrt(f(1 - f)); G1 + G2 is the
+    fixed budget, so the denominator does not depend on f, and dS/df =
+    [[-4, -2k], [-2k, 4]] / (2 - iu) with k = (1 - 2f) / sqrt(f(1 - f)).
+    A forward sweep carries column 0 of the prefix products P_j = S_j ...
+    S_1, an adjoint sweep row 1 of the suffix products Q_j = S_N ...
+    S_{j+1}, and dT21/df_j = (Q_j dS_j P_{j-1})_10.
+    """
+    n = len(fracs)
+    f = np.asarray(fracs, dtype=float)[:, None]
+    iu = 1j * (omega / gamma_total)
+    den = 2 - iu
+    s00, s11 = (2 - 4 * f - iu) / den, (4 * f - 2 - iu) / den
+    off = -4 * np.sqrt(f * (1 - f)) / den
+    cols = np.empty((2, n, len(omega)), dtype=complex)
+    rows = np.empty_like(cols)
+    ones, zeros = np.ones(len(omega), dtype=complex), np.zeros(len(omega), dtype=complex)
+    c0, c1 = ones, zeros  # column 0 of P_0 = I
+    r0, r1 = zeros, ones  # row 1 of Q_N = I
+    for j in range(n):
+        cols[:, j] = c0, c1
+        c0, c1 = s00[j] * c0 + off[j] * c1, off[j] * c0 + s11[j] * c1
+    for j in range(n - 1, -1, -1):
+        rows[:, j] = r0, r1
+        r0, r1 = r0 * s00[j] + r1 * off[j], r0 * off[j] + r1 * s11[j]
+    k = (1 - 2 * f) / np.sqrt(f * (1 - f))
+    return (-4 * (rows[0] * cols[0] - rows[1] * cols[1])
+            - 2 * k * (rows[0] * cols[1] + rows[1] * cols[0])) / den
+
+
 def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
-                  w: np.ndarray) -> Tuple[float, float]:
+                  w: np.ndarray, grad: bool = False):
     """(fwhm, passband_min) from the sampled spectrum alone.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
     goes through the bisection-refined extractor.  ``w`` is the points of
     ``_grid_for(problem)``.
+
+    With ``grad``, also returns the FWHM's gradient in the rate fractions
+    and the ripple troughs: the N - 1 lowest local minima of the samples
+    within the half-max span, ascending (the first is passband_min), padded
+    with the peak when there are fewer, and each one's gradient as a row.
+    The floor is the smallest trough, and the troughs are what an optimal
+    ramp holds at the floor together, so a constraint on each of them is
+    smooth where one on their minimum has a kink.  Each crossing is
+    differentiated through its interpolation formula, with the half level
+    as half the peak sample, so T21's derivatives are needed only at the
+    crossings' four samples, the peak and the troughs.
     """
-    v = np.abs(array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]) ** 2
-    try:
-        _, half, i0, i1, pb_min = _halfmax(v)
-    except SpectrumError:
-        return 0.0, 0.0
-    return float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0)), pb_min
-
-
-def _prefix_products(fracs: np.ndarray, gamma_total: float, w: np.ndarray):
-    """Site matrices and prefix products P_j = S_j ... S_1 of the eliminated
-    cascade, as entry tuples; P_N is ``array_transfer``'s result bit for bit."""
-    s = [_entries(scattering_eliminated(site, w)) for site in _sites_for(fracs, gamma_total)]
-    prefix = [s[0]]
-    for sj in s[1:]:
-        prefix.append(_mul2(sj, prefix[-1]))
-    return s, prefix
-
-
-def _t21_gradient(fracs: np.ndarray, u: np.ndarray, s, prefix, idx) -> np.ndarray:
-    """dT21/df_j at the grid points ``idx`` (row j), by one adjoint sweep.
-
-    ``s`` and ``prefix`` come from ``_prefix_products``, and ``u`` is the
-    frequencies at ``idx`` over the rate budget.  The sweep carries row 1 of
-    the suffix products Q_j = S_N ... S_{j+1}, so that dT21/df_j =
-    (Q_j dS_j P_{j-1})_10.  Since G1 + G2 is the fixed budget, the site
-    denominator does not depend on f, and dS/df = [[-4, -2k], [-2k, 4]] /
-    (2 - i*u) with k = (1 - 2f) / sqrt(f(1 - f)).
-    """
-    den = 2 - 1j * u
-    grad = np.empty((len(fracs), len(idx)), dtype=complex)
-    r0, r1 = np.zeros(len(idx), dtype=complex), np.ones(len(idx), dtype=complex)
-    for j in range(len(fracs) - 1, -1, -1):
-        f = fracs[j]
-        k = (1 - 2 * f) / math.sqrt(f * (1 - f))
-        c0, c1 = (prefix[j - 1][0][idx], prefix[j - 1][2][idx]) if j else (1.0, 0.0)
-        grad[j] = (-4 * (r0 * c0 - r1 * c1) - 2 * k * (r0 * c1 + r1 * c0)) / den
-        s00, s01, s10, s11 = (e[idx] for e in s[j])
-        r0, r1 = r0 * s00 + r1 * s10, r0 * s01 + r1 * s11
-    return grad
-
-
-def _grid_metrics_grad(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray):
-    """``_grid_metrics`` bit for bit, plus the gradients of both metrics in
-    the rate fractions.
-
-    The metrics depend on six samples of |T21|^2: the two pairs around the
-    crossings, the peak (the half level is half of it) and the ripple floor.
-    Each crossing is differentiated through its interpolation formula and
-    the floor as the sample at its minimum, so the adjoint sweep runs only
-    at those six points.
-    """
-    s, prefix = _prefix_products(fracs, problem.gamma_total, w)
-    t21 = prefix[-1][2]
+    t21 = array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]
     v = np.abs(t21) ** 2
+    n_troughs = max(len(fracs) - 1, 1)
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
-        zero = np.zeros(len(fracs))
-        return 0.0, 0.0, zero, zero
-    i_floor = i0 + int(np.argmax(v[i0:i1 + 1] == pb_min))
-    idx = np.array([i0 - 1, i0, i1, i1 + 1, int(np.argmax(v)), i_floor])
-    dt = _t21_gradient(fracs, w[idx] / problem.gamma_total, s, prefix, idx)
-    dv = 2 * (t21[idx].conjugate() * dt).real
+        if not grad:
+            return 0.0, 0.0
+        return 0.0, 0.0, np.zeros(len(fracs)), np.zeros(n_troughs), np.zeros(
+            (n_troughs, len(fracs)))
+    fwhm = float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0))
+    if not grad:
+        return fwhm, pb_min
+
+    # v[i0 - 1] and v[i1 + 1] lie below half, so neither end is a minimum
+    span = v[i0:i1 + 1]
+    troughs = np.flatnonzero((span <= v[i0 - 1:i1]) & (span < v[i0 + 1:i1 + 2])) + i0
+    troughs = troughs[np.argsort(v[troughs], kind="stable")][:n_troughs]
+    i_peak = int(np.argmax(v))
+    idx = np.concatenate([[i0 - 1, i0, i1, i1 + 1, i_peak], troughs,
+                          np.full(n_troughs - len(troughs), i_peak)])
+    dv = 2 * (t21[idx].conjugate() * _t21_gradient(fracs, problem.gamma_total, w[idx])).real
     dhalf = dv[:, 4] / 2
 
     def dcross(ia, ib, col):
@@ -186,8 +188,8 @@ def _grid_metrics_grad(fracs: np.ndarray, problem: OptimizationProblem, w: np.nd
         run, rise = w[ib] - w[ia], v[ib] - v[ia]
         return run * ((dhalf - dva) * rise - (half - v[ia]) * (dvb - dva)) / rise ** 2
 
-    fwhm = _cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0)
-    return float(fwhm), pb_min, dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0), dv[:, 5]
+    return (fwhm, pb_min, dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0),
+            v[idx[5:]], dv[:, 5:].T)
 
 
 def eliminated_bandwidth(gamma1_per_site: Sequence[float],
@@ -237,32 +239,34 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
         xc = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
         key = xc.tobytes()
         if key not in seen:
-            fwhm, pb, d_fwhm, d_pb = _grid_metrics_grad(
-                _mirror_fractions(xc, problem.n_sites), problem, w)
+            fwhm, pb, d_fwhm, troughs, d_troughs = _grid_metrics(
+                _mirror_fractions(xc, problem.n_sites), problem, w, True)
             # the mirror sets f_{N-1-i} = 1 - x_i
-            seen[key] = fwhm, pb, d_fwhm[:m] - d_fwhm[::-1][:m], d_pb[:m] - d_pb[::-1][:m]
+            seen[key] = (fwhm, pb, d_fwhm[:m] - d_fwhm[::-1][:m], troughs,
+                         d_troughs[:, :m] - d_troughs[:, ::-1][:, :m])
         return seen[key]
 
-    # the width in units of the budget, since SLSQP's ftol is absolute.  The
-    # metrics' slopes jump where a crossing or the floor moves to another
-    # grid point, so near the ridge SLSQP zigzags until maxiter; by 50
-    # iterations the endpoints sit within optimize_couplings' tie tolerance
+    # the width in units of the budget, since SLSQP's ftol is absolute.  With
+    # a constraint per trough the ramp starts converge in 13-45 iterations
+    # for N = 6 to 20; the cap stops random starts that wander among
+    # infeasible profiles
     scale = -1.0 / problem.gamma_total
     res = minimize(
         lambda x: scale * metrics(x)[0], start.astype(float),
         jac=lambda x: scale * metrics(x)[2], method="SLSQP",
         bounds=[(_FRAC_FLOOR, 1 - _FRAC_FLOOR)] * m,
         constraints=[{"type": "ineq",
-                      "fun": lambda x: metrics(x)[1] - problem.min_efficiency,
-                      "jac": lambda x: metrics(x)[3]}],
+                      "fun": lambda x: metrics(x)[3] - problem.min_efficiency,
+                      "jac": lambda x: metrics(x)[4]}],
         options={"ftol": 1e-12, "maxiter": 50})
     x = np.clip(res.x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
 
     # the solve can stop a hair below the ripple floor on this piecewise
     # smooth surrogate; Newton steps along the floor's gradient restore it
     for _ in range(12):
-        _, pb, _, grad = metrics(x)
+        _, pb, _, _, d_troughs = metrics(x)
         deficit = problem.min_efficiency - pb
+        grad = d_troughs[0]
         norm2 = float(grad @ grad)
         if deficit <= 0 or norm2 < 1e-12:
             break
@@ -292,9 +296,9 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
     """Multi-start constrained search for the widest conversion band.
 
     From each of five ramp-shaped starting profiles and ``n_random_starts``
-    random ones, one SLSQP solve maximizes the sampled-spectrum FWHM subject
-    to the ripple floor, with both gradients exact (one adjoint sweep of the
-    cascade per profile); a few Newton steps along the floor's gradient then
+    random ones, one SLSQP solve maximizes the sampled-spectrum FWHM with
+    every ripple trough held above the floor, all gradients exact (one
+    adjoint sweep of the cascade per profile); a few Newton steps along the floor's gradient then
     lift an endpoint that stopped just below the floor.  Each endpoint is
     refined by bisection, and the best feasible one is reported.  The starts
     run one after another; ``workers`` must be 1.

@@ -8,8 +8,7 @@ from oemarray.core import FrequencyGrid
 from oemarray.transducer import EliminatedSite
 from oemarray.cascade import array_transfer, eliminated_spectrum, extract_bandwidth
 from oemarray.optimize import (OptimizationProblem, OptimizationResult,
-                               _grid_for, _grid_metrics, _grid_metrics_grad,
-                               _prefix_products, _sites_for, _t21_gradient,
+                               _grid_for, _grid_metrics, _sites_for, _t21_gradient,
                                eliminated_bandwidth, fit_tanh_beta,
                                grid_oracle, optimize_couplings,
                                result_to_json)
@@ -78,9 +77,9 @@ class TestTwoSites:
     def test_result_is_pinned_bit_for_bit(self, n2_result):
         _, r = n2_result
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.0da9f78fb7cd5p-7", "0x1.562f1bb5aba65p-5"]
+            "0x1.0da9f78ecb283p-7", "0x1.562f1bb5e6cf9p-5"]
         assert r.bandwidth.hex() == "0x1.53f8a94d242e8p-2"
-        assert r.passband_min.hex() == "0x1.fae147aeb6898p-1"
+        assert r.passband_min.hex() == "0x1.fae147af05e8ep-1"
 
     def test_agrees_with_grid_oracle(self, n2_result):
         problem, r = n2_result
@@ -123,9 +122,9 @@ class TestGridOracle:
                                    atol=resolution)
         assert o.gamma1_per_site[1] == pytest.approx(0.025, abs=1e-12)
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.35f5cf12978acp-8", "0x1.999999999999ap-6", "0x1.72dadfb746a84p-5"]
+            "0x1.35f5cf12a153cp-8", "0x1.999999999999ap-6", "0x1.72dadfb7456f3p-5"]
         assert r.bandwidth.hex() == "0x1.089206d3a06d2p-1"
-        assert r.passband_min.hex() == "0x1.e666666669270p-1"
+        assert r.passband_min.hex() == "0x1.e66666666666bp-1"
 
     def test_rejects_larger_arrays(self):
         with pytest.raises(ValueError, match="n_sites <= 3"):
@@ -154,23 +153,28 @@ class TestSurrogate:
         w = _grid_for(problem).points()
         d = np.arange(1, n + 1) / (n + 1)
         for fracs in (np.full(n, 0.5), d, 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)):
-            fwhm, pb_min, _, _ = _grid_metrics_grad(fracs, problem, w)
+            fwhm, pb_min, _, troughs, _ = _grid_metrics(fracs, problem, w, grad=True)
             assert (fwhm.hex(), pb_min.hex()) == tuple(
                 x.hex() for x in _grid_metrics(fracs, problem, w))
+            assert troughs[0] == pb_min
+            assert len(troughs) == n - 1 and np.all(np.diff(troughs) >= 0)
 
     def test_metric_gradients_match_central_differences(self):
-        # away from the grid-point switches both metrics are smooth, and
-        # the adjoint gradients agree with differences of the surrogate
+        # away from the grid-point switches the metrics are smooth, and the
+        # adjoint gradients agree with differences of the surrogate.  Each
+        # trough has a twin at the opposite detuning, since S(-w) = S(w)*,
+        # and the two move together, so the sorted troughs keep their order
         problem = OptimizationProblem(n_sites=6, gamma_total=GAMMA, min_efficiency=0.9)
         w = _grid_for(problem).points()
         fracs = np.array([0.05, 0.2, 0.35, 0.65, 0.8, 0.95])
-        _, _, d_fwhm, d_pb = _grid_metrics_grad(fracs, problem, w)
+        _, _, d_fwhm, _, d_troughs = _grid_metrics(fracs, problem, w, grad=True)
         h = 1e-7
         for j, e in enumerate(np.eye(6)):
-            up = _grid_metrics(fracs + h * e, problem, w)
-            down = _grid_metrics(fracs - h * e, problem, w)
+            up = _grid_metrics(fracs + h * e, problem, w, grad=True)
+            down = _grid_metrics(fracs - h * e, problem, w, grad=True)
             assert d_fwhm[j] == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-5, abs=1e-9)
-            assert d_pb[j] == pytest.approx((up[1] - down[1]) / (2 * h), rel=1e-5, abs=1e-9)
+            np.testing.assert_allclose(d_troughs[:, j], (up[3] - down[3]) / (2 * h),
+                                       rtol=1e-5, atol=1e-9)
 
 
 class TestAdjoint:
@@ -179,12 +183,7 @@ class TestAdjoint:
         rng = np.random.default_rng(1000 + n)
         fracs = rng.uniform(0.05, 0.95, size=n)
         w = _grid_for(OptimizationProblem(n_sites=n, gamma_total=GAMMA)).points()
-        s, prefix = _prefix_products(fracs, GAMMA, w)
-        t = array_transfer(_sites_for(fracs, GAMMA), w)
-        assert all(np.array_equal(p, t[..., i, j])
-                   for p, (i, j) in zip(prefix[-1], [(0, 0), (0, 1), (1, 0), (1, 1)]))
-
-        grad = _t21_gradient(fracs, w / GAMMA, s, prefix, np.arange(len(w)))
+        grad = _t21_gradient(fracs, GAMMA, w)
 
         def t21(f):
             sites = [EliminatedSite(gamma1=x * GAMMA, gamma2=(1 - x) * GAMMA) for x in f]
@@ -201,7 +200,7 @@ def test_each_profile_is_evaluated_once_per_search(monkeypatch):
     # the same point; a search computes each distinct profile once, and the
     # result counts exactly those
     calls = []
-    search, metrics = opt._local_search, opt._grid_metrics_grad
+    search, metrics = opt._local_search, opt._grid_metrics
 
     def counted_search(start, problem):
         calls.append([])
@@ -212,7 +211,7 @@ def test_each_profile_is_evaluated_once_per_search(monkeypatch):
         return metrics(fracs, problem, *args)
 
     monkeypatch.setattr(opt, "_local_search", counted_search)
-    monkeypatch.setattr(opt, "_grid_metrics_grad", counted_metrics)
+    monkeypatch.setattr(opt, "_grid_metrics", counted_metrics)
     r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05,
                                                min_efficiency=0.99))
     assert len(calls) == 8
@@ -270,6 +269,17 @@ def test_search_is_scale_free():
     for f in fractions[1:]:
         np.testing.assert_allclose(f, fractions[0], rtol=1e-6)
     np.testing.assert_allclose(widths, widths[0], rtol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "extract_bandwidth bisects the crossings to an absolute 1e-6, so at a "
+    "budget of 1e-200 it reports the unrefined grid width, 9.8e-6 relative "
+    "below the refined one"))
+def test_reported_bandwidth_is_scale_free():
+    widths = [optimize_couplings(OptimizationProblem(
+        n_sites=2, gamma_total=gamma_total, min_efficiency=0.99)).bandwidth / gamma_total
+        for gamma_total in (1e-200, 0.05, 1e3)]
+    np.testing.assert_allclose(widths, widths[1], rtol=1e-6)
 
 
 class TestOptimizerInvariants:

@@ -2,7 +2,7 @@
 
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
-        [--workloads spectra,optimize] [--pairs 10] [--readme] [--tier1 K] \
+        [--workloads spectra,optimize] [--pairs 10] [--readme] [--tier1] \
         --out BENCH_<n>.json
 
 Pair S (S = 1, 2, ...) runs ``python3 perfbench/run.py --workload W --seed S
@@ -21,10 +21,10 @@ wall time that tool prints for each README command.  After the last pair,
 against the parent's, and its report is recorded; the exit code is 1 when
 they differ.
 
-With ``--tier1 K`` (K = 0, the default, is off; otherwise at least 2), K more
-alternating pairs run the Tier-1 suite, ``PYTHONPATH=src python -m pytest -q
---continue-on-collection-errors``, in each checkout, and record its wall time
-and the passed, failed and error counts of pytest's last line.
+With ``--tier1``, ``TIER1_PAIRS`` more alternating pairs run the Tier-1
+suite, ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
+in each checkout, and record its wall time and the passed, failed and error
+counts of pytest's last line.
 
 The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
@@ -76,6 +76,17 @@ def src_lines(checkout: str) -> int:
     return total
 
 
+def alternating(n_pairs: int, run, key: str = "pair"):
+    """Pairs k = 1 .. n_pairs of ``run(side, k)`` on both sides, the parent
+    first on odd k; yields each pair when both of its runs are done."""
+    for k in range(1, n_pairs + 1):
+        order = SIDES if k % 2 else SIDES[::-1]
+        pair = {key: k, "first": order[0]}
+        for side in order:
+            pair[side] = run(side, k)
+        yield pair
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; its end-to-end metrics and failed_ratio."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -115,13 +126,9 @@ def readme_pairs(dirs: dict, n_pairs: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         outdirs = {side: os.path.join(tmp, side) for side in SIDES}
         pairs = []
-        for k in range(1, n_pairs + 1):
-            order = SIDES if k % 2 else SIDES[::-1]
-            pair = {"pair": k, "first": order[0]}
-            for side in order:
-                pair[side] = run_readme(dirs[side], outdirs[side])
+        for pair in alternating(n_pairs, lambda side, k: run_readme(dirs[side], outdirs[side])):
             pairs.append(pair)
-            print(f"readme pair {k}: " + ", ".join(
+            print(f"readme pair {pair['pair']}: " + ", ".join(
                 f"{side} {sum(pair[side].values()):.2f} s" for side in SIDES), flush=True)
         report = io.StringIO()
         with contextlib.redirect_stdout(report):
@@ -140,6 +147,7 @@ def readme_pairs(dirs: dict, n_pairs: int) -> dict:
 
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_PAIRS = 2
 # the counts on pytest's last line, e.g. "2 failed, 353 passed, 1 warning in 97.10s"
 _PYTEST_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
@@ -161,16 +169,12 @@ def run_tier1(checkout: str) -> dict:
     return record
 
 
-def tier1_pairs(dirs: dict, n_pairs: int) -> dict:
+def tier1_pairs(dirs: dict) -> dict:
     """Tier-1 wall time and test counts in alternating pairs."""
     pairs = []
-    for k in range(1, n_pairs + 1):
-        order = SIDES if k % 2 else SIDES[::-1]
-        pair = {"pair": k, "first": order[0]}
-        for side in order:
-            pair[side] = run_tier1(dirs[side])
+    for pair in alternating(TIER1_PAIRS, lambda side, k: run_tier1(dirs[side])):
         pairs.append(pair)
-        print(f"tier1 pair {k}: " + ", ".join(
+        print(f"tier1 pair {pair['pair']}: " + ", ".join(
             f"{side} {pair[side]['wall_s']:.1f} s {pair[side]['passed']} passed "
             f"{pair[side]['failed']} failed" for side in SIDES), flush=True)
     return {
@@ -238,15 +242,13 @@ def main(argv=None) -> int:
     parser.add_argument("--readme", action="store_true",
                         help="also time the README commands in alternating pairs "
                              "and compare their outputs")
-    parser.add_argument("--tier1", type=int, default=0, metavar="K",
-                        help="also run the Tier-1 suite in K alternating pairs, "
-                             "0 for none or at least 2 (default: %(default)s)")
+    parser.add_argument("--tier1", action="store_true",
+                        help=f"also run the Tier-1 suite in {TIER1_PAIRS} "
+                             "alternating pairs")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    if args.tier1 == 1 or args.tier1 < 0:
-        parser.error("--tier1 must be 0 or at least 2")
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -270,13 +272,11 @@ def main(argv=None) -> int:
 
     for workload in args.workloads.split(","):
         pairs = []
-        for seed in range(1, args.pairs + 1):
-            order = SIDES if seed % 2 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(dirs[side], workload, seed, seconds)
+        for pair in alternating(
+                args.pairs, lambda side, seed: run_once(dirs[side], workload, seed, seconds),
+                key="seed"):
             pairs.append(pair)
-            print(f"{workload} seed {seed}: " + ", ".join(
+            print(f"{workload} seed {pair['seed']}: " + ", ".join(
                 f"{side} p50 {pair[side]['job_ms_p50']:.1f} ms tail "
                 f"{pair[side]['job_ms_tail']:.1f} ms" for side in SIDES), flush=True)
         summary = summarize(pairs, metrics)
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         doc["readme"] = readme_pairs(dirs, args.pairs)
         write()
     if args.tier1:
-        doc["tier1"] = tier1_pairs(dirs, args.tier1)
+        doc["tier1"] = tier1_pairs(dirs)
         write()
 
     print("src lines: " + ", ".join(f"{side} {doc['src_lines'][side]}" for side in SIDES))
