@@ -8,8 +8,11 @@ passband ripple, accumulated conversion phase, and the waveguide
 dispersion relation that controls bandwidth saturation for unequal
 cavity linewidths.
 
-``array_transfer`` is the one 2x2 fold; spectra, evaluators, the optimizer's
-surrogate and the noise cascade (through its entrywise helpers) all use it.
+``array_transfer`` is the 2x2 fold of spectra, evaluators and the values of
+the optimizer's surrogate.  Two sweeps need partial products instead of the
+whole one: the noise cascade's suffix sum, built from the same entrywise
+helpers, and the optimizer's adjoint gradient (``optimize._t21_gradient``),
+which sweeps its own site matrices.
 Half-max crossings are refined by exact batched bisection: the result is
 bit for bit that of a scalar bisection loop, but each round evaluates the
 spectrum's evaluator once, on an array of candidate midpoints.

@@ -76,8 +76,23 @@ def _pick(args, attr: str, doc: dict, key: str, default):
     return doc.get(key, default)
 
 
+def _object(doc: dict, key: str, default: dict) -> dict:
+    """Config-file object ``key``; ``default`` when it is absent, null or empty."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value or default
+
+
+def _as_bool(value, name: str) -> bool:
+    """A flag's True or a config-file true/false; anything else names ``name``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean (true or false), got {value!r}")
+    return value
+
+
 def _resolve_array_config(args, doc: dict) -> ArrayConfig:
-    profile = dict(doc.get("profile") or _DEFAULT_PROFILE)
+    profile = dict(_object(doc, "profile", _DEFAULT_PROFILE))
     kind_flag = getattr(args, "profile", None)
     if kind_flag is not None:
         profile["kind"] = kind_flag
@@ -109,7 +124,7 @@ def _resolve_array_config(args, doc: dict) -> ArrayConfig:
 
 def _resolve_grid(args, doc: dict, default_half_width: float,
                   default_points: int, center: float = 0.0) -> FrequencyGrid:
-    gdoc = doc.get("grid") or {}
+    gdoc = _object(doc, "grid", {})
     omega_max = _pick(args, "omega_max", gdoc, "omega_max", None)
     omega_min = _pick(args, "omega_min", gdoc, "omega_min", None)
     points = _pick(args, "points", gdoc, "points", default_points)
@@ -187,7 +202,7 @@ def cmd_bandwidth_scan(args, doc: dict):
     if not 1 <= n_lo <= n_hi:
         raise ConfigError(f"invalid size range {n_lo}..{n_hi}")
     grid = _resolve_grid(args, doc, default_half_width=2.5, default_points=1201)
-    asymmetric = bool(_pick(args, "asymmetric", doc, "asymmetric", False))
+    asymmetric = _as_bool(_pick(args, "asymmetric", doc, "asymmetric", False), "asymmetric")
 
     # closed-form columns use the mean linewidth of a (possibly ramped) rule
     k1 = _as_ramp(base.kappa1)
@@ -260,7 +275,7 @@ def cmd_backscatter(args, doc: dict):
     else:
         ratios = _as_floats(doc.get("ratios", [0.02, 0.05, 0.1, 0.15, 0.2]), "ratios")
     zeta = _as_float(_pick(args, "zeta", doc, "zeta", 0.0), "zeta")
-    fit_alpha = bool(_pick(args, "fit_alpha", doc, "fit_alpha", False))
+    fit_alpha = _as_bool(_pick(args, "fit_alpha", doc, "fit_alpha", False), "fit_alpha")
     table = backscatter_efficiency_table(ratios, materialize_sites(config), zeta=zeta)
     csv_path = f"{args.out}.csv"
     sweep_to_csv(table, csv_path)
@@ -402,7 +417,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """The run harness.  ``cmd_x(args, doc)`` returns the manifest's ``(config,
     outputs)``, plus an exit code when that is not 0; runs that exit 2 or 3
-    write no manifest."""
+    write no manifest.  An ``--out`` path that cannot be written exits 2."""
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -415,6 +430,9 @@ def main(argv=None) -> int:
     except (SingularMatrixError, SpectrumError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a data file or the manifest cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code[0] if code else 0
 
 

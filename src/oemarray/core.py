@@ -362,11 +362,12 @@ def _profile_from_dict(d: dict) -> CouplingProfile:
     try:
         if kind == "explicit":
             return CouplingProfile.explicit(d["pairs"])
-        if kind == "linear":
-            return CouplingProfile.linear(float(d["g_bar1"]), float(d["g_bar2"]))
-        if kind == "tanh":
-            return CouplingProfile.tanh(float(d["g_bar1"]), float(d["g_bar2"]),
-                                        beta=float(d.get("beta", 4.5)))
+        if kind in ("linear", "tanh"):
+            g1, g2 = (_as_float(d[k], f"profile.{k}") for k in ("g_bar1", "g_bar2"))
+            if kind == "linear":
+                return CouplingProfile.linear(g1, g2)
+            return CouplingProfile.tanh(g1, g2, beta=_as_float(d.get("beta", 4.5),
+                                                               "profile.beta"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {kind!r} profile: {exc}") from exc
     raise ConfigError(f"unknown profile kind {kind!r}")
@@ -398,9 +399,9 @@ def _as_float(value, name: str) -> float:
 
 def _ramp_from_json(value, name: str):
     if isinstance(value, (int, float)):
-        return float(value)
+        return _as_float(value, name)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (float(value[0]), float(value[1]))
+        return tuple(_as_float(v, f"{name}[{i}]") for i, v in enumerate(value))
     raise ConfigError(f"{name} must be a number or a [start, end] pair")
 
 
@@ -455,9 +456,9 @@ def config_from_dict(doc: dict) -> ArrayConfig:
             profile=_profile_from_dict(doc["profile"]),
             kappa1=_ramp_from_json(doc.get("kappa1", 1.0), "kappa1"),
             kappa2=_ramp_from_json(doc.get("kappa2", 1.0), "kappa2"),
-            gamma=float(doc.get("gamma", 0.0)),
-            n_bar=float(doc.get("n_bar", 0.0)),
-            kappa_ref=float(doc.get("kappa_ref", 1.0)),
+            gamma=_as_float(doc.get("gamma", 0.0), "gamma"),
+            n_bar=_as_float(doc.get("n_bar", 0.0), "n_bar"),
+            kappa_ref=_as_float(doc.get("kappa_ref", 1.0), "kappa_ref"),
         )
     except ConfigError:
         raise

@@ -139,19 +139,18 @@ def _t21_gradient(fracs: np.ndarray, gamma_total: float, omega: np.ndarray) -> n
             - 2 * k * (rows[0] * cols[1] + rows[1] * cols[0])) / den
 
 
-def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
-                  w: np.ndarray, grad: bool = False):
-    """(fwhm, passband_min) from the sampled spectrum alone.
+def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray):
+    """(fwhm, passband_min, d_fwhm, troughs, d_troughs) of the sampled spectrum.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
     goes through the bisection-refined extractor.  ``w`` is the points of
     ``_grid_for(problem)``.
 
-    With ``grad``, also returns the FWHM's gradient in the rate fractions
-    and the ripple troughs: the N - 1 lowest local minima of the samples
-    within the half-max span, ascending (the first is passband_min), padded
-    with the peak when there are fewer, and each one's gradient as a row.
+    ``d_fwhm`` is the FWHM's gradient in the rate fractions.  The troughs
+    are the N - 1 lowest local minima of the samples within the half-max
+    span, ascending (the first is passband_min), padded with the peak when
+    there are fewer, and row k of ``d_troughs`` is trough k's gradient.
     The floor is the smallest trough, and the troughs are what an optimal
     ramp holds at the floor together, so a constraint on each of them is
     smooth where one on their minimum has a kink.  Each crossing is
@@ -165,13 +164,9 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem,
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
-        if not grad:
-            return 0.0, 0.0
         return 0.0, 0.0, np.zeros(len(fracs)), np.zeros(n_troughs), np.zeros(
             (n_troughs, len(fracs)))
     fwhm = float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0))
-    if not grad:
-        return fwhm, pb_min
 
     # v[i0 - 1] and v[i1 + 1] lie below half, so neither end is a minimum
     span = v[i0:i1 + 1]
@@ -240,7 +235,7 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
         key = xc.tobytes()
         if key not in seen:
             fwhm, pb, d_fwhm, troughs, d_troughs = _grid_metrics(
-                _mirror_fractions(xc, problem.n_sites), problem, w, True)
+                _mirror_fractions(xc, problem.n_sites), problem, w)
             # the mirror sets f_{N-1-i} = 1 - x_i
             seen[key] = (fwhm, pb, d_fwhm[:m] - d_fwhm[::-1][:m], troughs,
                          d_troughs[:, :m] - d_troughs[:, ::-1][:, :m])
@@ -345,14 +340,11 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
     evals = 0
     w = _grid_for(problem).points()
 
-    def measure(f: float) -> Tuple[float, float]:
+    def objective(f: float) -> float:
         nonlocal evals
         evals += 1
-        return _grid_metrics(
+        fwhm, pb, *_ = _grid_metrics(
             _mirror_fractions(np.array([f]), problem.n_sites), problem, w)
-
-    def objective(f: float) -> float:
-        fwhm, pb = measure(f)
         if fwhm <= 0 or pb < problem.min_efficiency - 1e-9:
             return -np.inf
         return fwhm

@@ -241,9 +241,26 @@ class TestExitCodes:
         ("loss", '"values": [0.1, %s]' % HUGE_INT, "values[1]"),
         ("optimize", '"min_efficiency": null', "min_efficiency"),
         ("backscatter", '"ratios": 0.1', "ratios"),
+        ("spectrum", '"grid": "x"', "grid"),
+        ("spectrum", '"grid": 5', "grid"),
+        ("spectrum", '"grid": [1, 2]', "grid"),
+        ("spectrum", '"profile": 5', "profile"),
+        ("spectrum", '"profile": "tanh"', "profile"),
+        ("bandwidth-scan", '"asymmetric": "no"', "asymmetric"),
+        ("backscatter", '"fit_alpha": "no"', "fit_alpha"),
+        ("spectrum", '"gamma": "abc"', "gamma"),
+        ("spectrum", '"n_bar": null', "n_bar"),
+        ("spectrum", '"kappa_ref": "abc"', "kappa_ref"),
+        ("spectrum", '"kappa1": [1, "abc"]', "kappa1[1]"),
+        ("spectrum", '"profile": {"kind": "tanh", "g_bar1": "abc", "g_bar2": 0.08}',
+         "profile.g_bar1"),
     ], ids=["spectrum-omega_max", "optimize-gamma_total", "stokes-omega_m",
             "backscatter-zeta", "backscatter-ratio", "loss-value",
-            "optimize-null-min_efficiency", "backscatter-ratios-not-a-list"])
+            "optimize-null-min_efficiency", "backscatter-ratios-not-a-list",
+            "grid-string", "grid-number", "grid-list", "profile-number",
+            "profile-string", "asymmetric-string", "fit_alpha-string",
+            "gamma-string", "null-n_bar", "kappa_ref-string", "kappa1-ramp-end",
+            "profile-g_bar1-string"])
     def test_unconvertible_config_number_exits_two(self, tmp_path, capsys, command,
                                                    fields, name):
         # float() of an integer literal beyond the float range overflows
@@ -252,6 +269,16 @@ class TestExitCodes:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{name} must be a" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--n", "3", "--points", "101"],
+                                      ["optimize", "--n", "2", "--starts", "0"]])
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "x")
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and out in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
     def test_bad_mechanical_frequency_is_named(self, tmp_path, capsys, value):
