@@ -332,7 +332,6 @@ def _add_array_flags(p: argparse.ArgumentParser, with_n: bool = True) -> None:
     p.add_argument("--kappa1", type=float, help="microwave cavity linewidth")
     p.add_argument("--kappa2", type=float, help="optical cavity linewidth")
     p.add_argument("--gamma", type=float, help="mechanical linewidth")
-    p.add_argument("--n-bar", type=float, help="mechanical bath occupation")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -370,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "noise")
     _add_array_flags(p)
     _add_grid_flags(p)
+    p.add_argument("--n-bar", type=float, help="mechanical bath occupation")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("stokes", help="amplification-noise density near omega_m")
@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-m", type=float, help="mechanical frequency (default 10)")
     p.set_defaults(func=cmd_stokes)
 
-    p = sub.add_parser("loss", help="resonant efficiency versus a loss parameter")
+    p = sub.add_parser("loss", help="efficiency versus a loss parameter: resonant "
+                                    "for kappa_int and epsilon, the envelope for kappa_l")
     _add_common(p, "loss")
     _add_array_flags(p)
     p.add_argument("--param", choices=("kappa_int", "epsilon", "kappa_l"),

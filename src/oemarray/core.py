@@ -379,18 +379,23 @@ def _ramp_to_json(value):
 
 
 def _as_int(value, name: str) -> int:
-    """``int(value)``; a value ``int`` cannot convert (null, NaN, an
-    infinity, a non-numeric string) is a ConfigError naming field ``name``."""
+    """``int(value)``; a boolean, a float that is not a whole number (3.7,
+    NaN, an infinity; ``10.0`` passes) or a value ``int`` cannot convert
+    (null, a non-numeric string) is a ConfigError naming field ``name``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
 def _as_float(value, name: str) -> float:
-    """``float(value)``; a value ``float`` cannot convert (null, a non-numeric
-    string, an integer beyond the float range) is a ConfigError naming field
-    ``name``."""
+    """``float(value)``; a boolean or a value ``float`` cannot convert (null, a
+    non-numeric string, an integer beyond the float range) is a ConfigError
+    naming field ``name``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows

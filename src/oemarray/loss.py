@@ -93,12 +93,11 @@ class CellLink:
             raise ValueError("propagation phases must be finite")
 
     @classmethod
-    def from_epsilon(cls, epsilon: float, k1_d: float = 0.0,
-                     k2_d: float = 0.0) -> "CellLink":
+    def from_epsilon(cls, epsilon: float) -> "CellLink":
         """Link with per-cell amplitude transmission 1 - epsilon."""
         if not 0 <= epsilon < 1:
             raise ValueError("epsilon must be in [0, 1)")
-        return cls(zeta=-math.log1p(-epsilon), k1_d=k1_d, k2_d=k2_d)
+        return cls(zeta=-math.log1p(-epsilon))
 
 
 @dataclass(eq=False)
@@ -256,11 +255,14 @@ def backscatter_efficiency_table(
 
 def efficiency_vs_loss(param: str, values: Sequence[float],
                        sites: Sequence[SiteParams]) -> List[Tuple[float, float]]:
-    """Resonant conversion efficiency swept over one loss parameter.
+    """Conversion efficiency swept over one loss parameter.
 
     ``param`` selects what the sweep values mean: "kappa_int" (intrinsic
-    loss added to both cavities), "epsilon" (per-cell propagation loss
-    1-e^{-zeta d}), or "kappa_l" (backscatter ratio kappa_L/kappa_R).
+    loss added to both cavities) and "epsilon" (per-cell propagation loss
+    1-e^{-zeta d}) give the efficiency at resonance; "kappa_l" (backscatter
+    ratio kappa_L/kappa_R) gives the envelope, the peak over one ripple
+    period around resonance (``envelope_efficiency``).  The rows' CSV
+    ``omega`` column reads 0 either way.
     """
     if param not in ("kappa_int", "epsilon", "kappa_l"):
         raise ValueError(f"unknown sweep parameter: {param!r}")
@@ -306,10 +308,8 @@ def backscatter_alpha_fit(table: Sequence[Tuple[float, float]]) -> dict:
     return {"alpha": alpha, "stderr": stderr, "points_used": len(pts)}
 
 
-def sweep_to_csv(rows: Sequence[Tuple[float, float]], path,
-                 omega: float = 0.0) -> None:
-    _write_csv(path, "param,omega,abs2_t21",
-               ((value, omega, eff) for value, eff in rows))
+def sweep_to_csv(rows: Sequence[Tuple[float, float]], path) -> None:
+    _write_csv(path, "param,omega,abs2_t21", ((value, 0.0, eff) for value, eff in rows))
 
 
 def alpha_fit_to_json(fit: dict, path=None) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams, _resolvent
+from .core import SingularMatrixError, SiteParams, _resolvent, _three_mode
 
 __all__ = [
     "EliminatedSite",
@@ -230,23 +230,16 @@ def offres_coefficients(site: SiteParams, omega):
 
 
 def _bogoliubov_state_space(bsite: BogoliubovSite):
-    g1, g2 = bsite.site.g1, bsite.site.g2
-    k1, k2, gam = bsite.site.kappa1, bsite.site.kappa2, bsite.site.gamma
-    iwm = 1j * bsite.omega_m
-
-    a = np.array([
-        [-iwm - k1 / 2, 0, -1j * g1, 0, 0, -1j * g1],
-        [0, -iwm - k2 / 2, -1j * g2, 0, 0, -1j * g2],
-        [-1j * g1, -1j * g2, -iwm - gam / 2, -1j * g1, -1j * g2, 0],
-        [0, 0, 1j * g1, iwm - k1 / 2, 0, 1j * g1],
-        [0, 0, 1j * g2, 0, iwm - k2 / 2, 1j * g2],
-        [1j * g1, 1j * g2, 0, 1j * g1, 1j * g2, iwm - gam / 2],
-    ])
-    b = np.zeros((6, 4))
-    b[0, 0] = np.sqrt(k1)
-    b[1, 1] = np.sqrt(k2)
-    b[3, 2] = np.sqrt(k1)
-    b[4, 3] = np.sqrt(k2)
+    """Lab-frame drift [[D - i*omega_m, C], [C*, D* + i*omega_m]] on (a1, a2, b,
+    a1^dag, a2^dag, b^dag) and inputs kron(I2, P): D is the site's beam-splitter
+    drift, C its couplings alone (the counter-rotating terms), P its ports."""
+    s = bsite.site
+    d = _three_mode(s.g1, s.g2, s.kappa1, s.kappa2, s.gamma)
+    c = _three_mode(s.g1, s.g2, 0, 0, 0)
+    shift = 1j * bsite.omega_m * np.eye(3)
+    a = np.block([[d - shift, c], [c.conj(), d.conj() + shift]])
+    b = np.zeros((6, 4))  # kron(I2, P); np.kron alone would double the build time
+    b[:3, :2] = b[3:, 2:] = [[np.sqrt(s.kappa1), 0], [0, np.sqrt(s.kappa2)], [0, 0]]
     return a, b
 
 

@@ -1,5 +1,6 @@
 """CLI runs: outputs, manifests, override precedence, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -222,6 +223,9 @@ class TestExitCodes:
         ("optimize", '"starts": NaN', "starts"),
         ("bandwidth-scan", '"n_min": 1e400', "n_min"),
         ("bandwidth-scan", '"n_max": Infinity', "n_max"),
+        ("spectrum", '"n_sites": 3.7', "n_sites"),
+        ("spectrum", '"grid": {"points": 100.9}', "points"),
+        ("spectrum", '"n_sites": true', "n_sites"),
     ])
     def test_non_finite_config_integer_exits_two(self, tmp_path, capsys, command,
                                                  fields, name):
@@ -254,13 +258,14 @@ class TestExitCodes:
         ("spectrum", '"kappa1": [1, "abc"]', "kappa1[1]"),
         ("spectrum", '"profile": {"kind": "tanh", "g_bar1": "abc", "g_bar2": 0.08}',
          "profile.g_bar1"),
+        ("spectrum", '"gamma": true', "gamma"),
     ], ids=["spectrum-omega_max", "optimize-gamma_total", "stokes-omega_m",
             "backscatter-zeta", "backscatter-ratio", "loss-value",
             "optimize-null-min_efficiency", "backscatter-ratios-not-a-list",
             "grid-string", "grid-number", "grid-list", "profile-number",
             "profile-string", "asymmetric-string", "fit_alpha-string",
             "gamma-string", "null-n_bar", "kappa_ref-string", "kappa1-ramp-end",
-            "profile-g_bar1-string"])
+            "profile-g_bar1-string", "gamma-boolean"])
     def test_unconvertible_config_number_exits_two(self, tmp_path, capsys, command,
                                                    fields, name):
         # float() of an integer literal beyond the float range overflows
@@ -475,6 +480,45 @@ class TestOptimize:
                      "--out", str(tmp_path / "x")]) == 2
         assert "starts" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+_COMMON = {"-h", "--help", "--config", "--out"}
+_ARRAY = {"--n", "--profile", "--g", "--beta", "--kappa1", "--kappa2", "--gamma"}
+_GRID = {"--omega-min", "--omega-max", "--points"}
+CLI_OPTIONS = {
+    None: {"-h", "--help", "--version"},
+    "spectrum": _COMMON | _ARRAY | _GRID,
+    "bandwidth-scan": _COMMON | _ARRAY - {"--n"} | _GRID
+    | {"--n-min", "--n-max", "--asymmetric"},
+    "noise": _COMMON | _ARRAY | _GRID | {"--n-bar"},
+    "stokes": _COMMON | _ARRAY | _GRID | {"--omega-m"},
+    "loss": _COMMON | _ARRAY | {"--param", "--values"},
+    "backscatter": _COMMON | _ARRAY | {"--ratios", "--zeta", "--fit-alpha"},
+    "optimize": _COMMON | {"--n", "--gamma-total", "--min-eff", "--seed", "--starts"},
+}
+
+
+def test_cli_surface_is_pinned(tmp_path):
+    # every option string of the top-level parser (None) and of each subcommand
+    parser = cli.build_parser()
+    subparsers, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    parsers = {None: parser, **subparsers.choices}
+    assert {name: {s for a in p._actions for s in a.option_strings}
+            for name, p in parsers.items()} == CLI_OPTIONS
+    # the bath occupation is a flag of `noise` alone ...
+    with pytest.raises(SystemExit) as err:
+        main(["stokes", "--n", "2", "--points", "21", "--n-bar", "1",
+              "--out", str(tmp_path / "st")])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    # ... and a config file's n_bar is still read and recorded
+    path = write_config(tmp_path, {"schema_version": "1", "n_bar": 5})
+    assert main(["spectrum", "--config", path, "--n", "2", "--points", "101",
+                 "--out", str(tmp_path / "sp")]) == 0
+    manifest = json.loads((tmp_path / "sp_manifest.json").read_text())
+    n_bar = manifest["config"]["array"]["n_bar"]
+    assert n_bar == 5.0 and isinstance(n_bar, float)
 
 
 class TestParserReuse:

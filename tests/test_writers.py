@@ -58,8 +58,6 @@ def test_sweep_csv(tmp_path):
     sweep_to_csv([(0.0, 1 / 3), (0.05, 0.9876543210987)], path)
     assert path.read_bytes() == (
         b"param,omega,abs2_t21\n0,0,0.333333333333\n0.05,0,0.987654321099\n")
-    sweep_to_csv([(0.1, 2 / 3)], path, omega=0.25)
-    assert path.read_bytes() == b"param,omega,abs2_t21\n0.1,0.25,0.666666666667\n"
 
 
 def test_bandwidth_scan_csv(tmp_path, monkeypatch):

@@ -30,8 +30,10 @@ The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
 many pairs the change won, the parent's quartile distance, and whether the
 change's median moved by more than that distance.  It also records
-``nproc``, the Python, numpy and scipy versions, and each side's ``src/``
-line count (the lines of ``src/**/*.py``).  Standard library only.
+``nproc``, the Python, numpy and scipy versions, each side's ``src/`` line
+count (the lines of ``src/**/*.py``) and each side's CLI option count (the
+option strings of its ``oemarray.cli.build_parser()``, top level and every
+subcommand, leaving out ``-h``/``--help``).  Standard library only.
 """
 
 from __future__ import annotations
@@ -74,6 +76,35 @@ def src_lines(checkout: str) -> int:
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
+
+
+def _src_env(checkout: str) -> dict:
+    """The environment with ``checkout``'s ``src/`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+# run in a checkout's interpreter with its src/ first on the path
+_OPTIONS = """
+import argparse
+from oemarray.cli import build_parser
+parser = build_parser()
+parsers = [parser] + [p for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)
+                      for p in a.choices.values()]
+print(sum(s not in ("-h", "--help")
+          for p in parsers for a in p._actions for s in a.option_strings))
+"""
+
+
+def cli_options(checkout: str) -> int:
+    """Option strings of one checkout's CLI parser, top level and every
+    subcommand, without ``-h``/``--help``."""
+    out = subprocess.run([sys.executable, "-c", _OPTIONS], env=_src_env(checkout),
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
 
 
 def alternating(n_pairs: int, run, key: str = "pair"):
@@ -154,11 +185,8 @@ _PYTEST_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 def run_tier1(checkout: str) -> dict:
     """One Tier-1 run in a checkout: wall time, counts and exit code."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=_src_env(checkout),
                           capture_output=True, text=True)
     wall = time.perf_counter() - started
     lines = proc.stdout.strip().splitlines()
@@ -262,6 +290,7 @@ def main(argv=None) -> int:
             "the parent first on odd seeds."),
         "environment": environment(),
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
+        "cli_options": {side: cli_options(dirs[side]) for side in SIDES},
         "workloads": {},
     }
 
@@ -292,6 +321,8 @@ def main(argv=None) -> int:
         write()
 
     print("src lines: " + ", ".join(f"{side} {doc['src_lines'][side]}" for side in SIDES))
+    print("cli options: " + ", ".join(f"{side} {doc['cli_options'][side]}"
+                                      for side in SIDES))
     for workload, entry in doc["workloads"].items():
         _print_summary(workload, entry["summary"])
     if args.tier1:
