@@ -8,11 +8,18 @@ passband ripple, accumulated conversion phase, and the waveguide
 dispersion relation that controls bandwidth saturation for unequal
 cavity linewidths.
 
-``array_transfer`` is the 2x2 fold of spectra, evaluators and the values of
-the optimizer's surrogate.  Two sweeps need partial products instead of the
-whole one: the noise cascade's suffix sum, built from the same entrywise
-helpers, and the optimizer's adjoint gradient (``optimize._t21_gradient``),
-which sweeps its own site matrices.
+One site loop, ``_fold``, builds the product.  It calls the public site
+kernels once per site, and within one call the full sites of equal
+linewidths share the frequency factors of ``scattering_full``
+(``_site_matrices``, which the noise cascade's suffix sum uses too).
+``array_transfer`` folds all four entries.  The callers that read only T21
+fold column 0 alone (``_t21``), which gives the same bits from half the
+products: the spectrum's evaluator, the optimizer's surrogate
+(``optimize._grid_metrics``) and the noise band window.  The spectrum's own
+sweep stays on ``array_transfer``, because the benchmark's cascade sweep
+metric is timed from those calls.  The optimizer's adjoint gradient
+(``optimize._t21_gradient``) needs partial products and sweeps its own site
+matrices.
 Half-max crossings are refined by exact batched bisection: the result is
 bit for bit that of a scalar bisection loop, but each round evaluates the
 spectrum's evaluator once, on an array of candidate midpoints.
@@ -37,6 +44,7 @@ from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _write_csv,
 from .transducer import (
     EliminatedSite,
     _empty22,
+    _omega_factors,
     offres_coefficients,
     scattering_eliminated,
     scattering_full,
@@ -92,19 +100,60 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
     and a scalar or array of frequencies; returns ``np.shape(omega) + (2, 2)``,
     laid out entry-major like the site kernels' results.  The four entries
     are folded as separate arrays by elementwise multiply-adds: matmul on
-    2x2 stacks calls BLAS once per point.
+    2x2 stacks calls BLAS once per point.  Callers that need T21 alone use
+    ``_t21``, which gives this product's ``[..., 1, 0]`` bit for bit.
+    """
+    t = _fold(sites, omega, column=False)
+    out = _empty22(np.shape(omega))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t
+    return out
+
+
+def _t21(sites: Sequence, omega):
+    """``array_transfer(sites, omega)[..., 1, 0]``, bit for bit."""
+    return _fold(sites, omega, column=True)[1]
+
+
+def _fold(sites, omega, column: bool):
+    """Entries of S_N ... S_1, or with ``column`` only its column 0.
+
+    Column 0 of a product depends only on column 0 of the product before
+    it, and each entry is formed as ``_mul2`` forms it, so the column fold
+    gives the full fold's bits from half the operations.
     """
     if len(sites) == 0:
         raise ValueError("need at least one site")
     t = None
+    for s in _site_matrices(sites, omega):
+        if t is None:
+            t = (s[0], s[2]) if column else s
+        elif column:
+            s00, s01, s10, s11 = s
+            t = (s00 * t[0] + s01 * t[1], s10 * t[0] + s11 * t[1])
+        else:
+            t = _mul2(s, t)
+    return t
+
+
+def _site_matrices(sites, omega):
+    """Entries of each site's scattering matrix at ``omega``, in order.
+
+    Full sites with equal (kappa1, kappa2, gamma) share one set of
+    ``transducer._omega_factors``.  The key carries gamma's sign, because
+    0.0 and -0.0 are equal keys but need not give equal bits.
+    """
+    w = np.asarray(omega, dtype=float)
+    shared = {}
     for site in sites:
-        kernel = (scattering_eliminated if isinstance(site, EliminatedSite)
-                  else scattering_full)
-        s = _entries(kernel(site, omega))
-        t = s if t is None else _mul2(s, t)
-    out = _empty22(np.shape(omega))
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t
-    return out
+        if isinstance(site, EliminatedSite):
+            yield _entries(scattering_eliminated(site, w))
+            continue
+        rates = (site.kappa1, site.kappa2, site.gamma)
+        key = rates + (math.copysign(1.0, site.gamma),)
+        factors = shared.get(key)
+        if factors is None:
+            factors = shared[key] = _omega_factors(*rates, w)
+        yield _entries(scattering_full(site, w, _factors=factors))
 
 
 def _entries(m):
@@ -135,7 +184,7 @@ def _spectrum_from_sites(sites, grid) -> Spectrum:
     return Spectrum(
         grid=grid,
         t21=array_transfer(sites, grid.points())[..., 1, 0].copy(),
-        evaluator=lambda w: array_transfer(sites, w)[..., 1, 0],
+        evaluator=lambda w: _t21(sites, w),
     )
 
 

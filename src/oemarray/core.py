@@ -379,10 +379,11 @@ def _ramp_to_json(value):
 
 
 def _as_int(value, name: str) -> int:
-    """``int(value)``; a boolean, a float that is not a whole number (3.7,
-    NaN, an infinity; ``10.0`` passes) or a value ``int`` cannot convert
-    (null, a non-numeric string) is a ConfigError naming field ``name``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)``; a boolean, a string, a float that is not a whole number
+    (3.7, NaN, an infinity; ``10.0`` passes) or a value ``int`` cannot
+    convert (null) is a ConfigError naming field ``name``."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -391,10 +392,10 @@ def _as_int(value, name: str) -> int:
 
 
 def _as_float(value, name: str) -> float:
-    """``float(value)``; a boolean or a value ``float`` cannot convert (null, a
-    non-numeric string, an integer beyond the float range) is a ConfigError
-    naming field ``name``."""
-    if isinstance(value, bool):
+    """``float(value)``; a boolean, a string or a value ``float`` cannot
+    convert (null, an integer beyond the float range) is a ConfigError naming
+    field ``name``."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .core import (ArrayConfig, FrequencyGrid, SiteParams, _resolvent,
                    _three_mode, _write_csv, materialize_sites)
-from .cascade import Spectrum, _entries, _mul2, array_transfer, extract_bandwidth
-from .transducer import (BogoliubovSite, _check_omega_m, scattering_bogoliubov,
-                         scattering_full)
+from .cascade import Spectrum, _mul2, _site_matrices, _t21, extract_bandwidth
+from .transducer import BogoliubovSite, _check_omega_m, scattering_bogoliubov
 
 __all__ = [
     "NoiseSpectrum",
@@ -92,13 +91,14 @@ def _added_noise_terms(sites, w, n_bar):
     s1 = np.zeros(np.shape(w))
     s2 = np.zeros(np.shape(w))
     downstream = (1, 0, 0, 1)  # entries of S_N ... S_{j+1}, right to left
+    matrices = _site_matrices(sites[:0:-1], w)  # S_N, ..., S_2
     for j in range(len(sites), 0, -1):
         v = _coupling_vector(sites[j - 1], w)
         d00, d01, d10, d11 = downstream
         s1 += np.abs(d00 * v[..., 0] + d01 * v[..., 1]) ** 2 * strength
         s2 += np.abs(d10 * v[..., 0] + d11 * v[..., 1]) ** 2 * strength
         if j > 1:
-            downstream = _mul2(downstream, _entries(scattering_full(sites[j - 1], w)))
+            downstream = _mul2(downstream, next(matrices))
     return s1, s2
 
 
@@ -129,8 +129,7 @@ def integrated_added_noise(config: ArrayConfig,
     """
     sites = materialize_sites(config)
     if window is None:
-        window = _band_window(lambda w: array_transfer(sites, w)[..., 1, 0],
-                              None, 0.0)
+        window = _band_window(lambda w: _t21(sites, w), None, 0.0)
 
     def density(w):
         return np.stack(_added_noise_terms(sites, w, config.n_bar))

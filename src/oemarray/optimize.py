@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import FrequencyGrid, SpectrumError, _write_json
 from .transducer import EliminatedSite
-from .cascade import _halfmax, array_transfer, eliminated_spectrum, extract_bandwidth
+from .cascade import _halfmax, _t21, eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -158,7 +158,7 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray
     as half the peak sample, so T21's derivatives are needed only at the
     crossings' four samples, the peak and the troughs.
     """
-    t21 = array_transfer(_sites_for(fracs, problem.gamma_total), w)[..., 1, 0]
+    t21 = _t21(_sites_for(fracs, problem.gamma_total), w)
     v = np.abs(t21) ** 2
     n_troughs = max(len(fracs) - 1, 1)
     try:

@@ -82,7 +82,7 @@ def _empty22(shape) -> np.ndarray:
     return np.empty((2, 2) + shape, dtype=complex).transpose(*range(2, k + 2), 0, 1)
 
 
-def scattering_full(site: SiteParams, omega) -> np.ndarray:
+def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     """Exact 2x2 scattering matrix of a single three-mode site.
 
     Solves the linear input-output problem for the two cavities and the
@@ -99,7 +99,12 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     could overflow if they were.
 
     A scalar frequency gives the same bits as that frequency inside an
-    array (see ``_full_terms``).
+    array (see ``_omega_factors``).
+
+    ``_factors`` is private: ``_omega_factors(kappa1, kappa2, gamma,
+    omega)`` computed beforehand, so that ``cascade._site_matrices`` computes
+    them once for all sites of equal linewidths.  The bits are the same
+    without it, and the lift recomputes every factor from the lifted rates.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -107,7 +112,7 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
-    terms = _full_terms(*rates, w)
+    terms = _full_terms(*rates, w, _factors)
     tiny = np.abs(terms[0]) < _TINY
     if tiny.any():
         # largest rate to ~2**300: cubic terms stay far from overflow, and a
@@ -133,8 +138,10 @@ def scattering_full(site: SiteParams, omega) -> np.ndarray:
     return s
 
 
-def _full_terms(g1, g2, k1, k2, gam, w):
-    """Denominator and the three numerators of ``scattering_full``.
+def _omega_factors(k1, k2, gam, w):
+    """The factors of ``scattering_full`` that depend on the linewidths and
+    the frequency alone: (d1, d2, d1*d2*dm, 2*k1*d2*dm, 2*k2*d1*dm), with
+    d_i = k_i - 2i*omega and dm = gamma - 2i*omega.
 
     The products of two complex factors go through ``np.multiply`` even
     for a scalar ``w``: numpy's array loop for them (fused multiply-add
@@ -147,10 +154,16 @@ def _full_terms(g1, g2, k1, k2, gam, w):
     d1 = k1 - iw2
     d2 = k2 - iw2
     dm = gam - iw2
-    den = 4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + mul(mul(d1, d2), dm)
-    return (den,
-            8 * g2 ** 2 * k1 + mul(2 * k1 * d2, dm),
-            8 * g1 ** 2 * k2 + mul(2 * k2 * d1, dm),
+    return d1, d2, mul(mul(d1, d2), dm), mul(2 * k1 * d2, dm), mul(2 * k2 * d1, dm)
+
+
+def _full_terms(g1, g2, k1, k2, gam, w, factors=None):
+    """Denominator and the three numerators of ``scattering_full``, from
+    ``factors = _omega_factors(k1, k2, gam, w)`` when given."""
+    d1, d2, p, q1, q2 = factors or _omega_factors(k1, k2, gam, w)
+    return (4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + p,
+            8 * g2 ** 2 * k1 + q1,
+            8 * g1 ** 2 * k2 + q2,
             -8 * g1 * g2 * np.sqrt(k1 * k2))
 
 

@@ -13,10 +13,14 @@ from oemarray import (
     SiteParams,
     materialize_sites,
 )
+from oemarray import cascade
 from oemarray.cascade import (
     Spectrum,
     _bisect_crossings,
+    _entries,
     _halfmax,
+    _mul2,
+    _t21,
     array_transfer,
     bandwidth_analytic,
     bandwidth_to_json,
@@ -112,6 +116,71 @@ class TestArrayTransfer:
         t = array_transfer(sites, omega)
         assert t.shape == np.shape(omega) + (2, 2)
         assert np.max(np.abs(t - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSiteLoop:
+    """The shared frequency factors and the column-0 fold give the bits of a
+    plain fold of the site kernels' own 2x2 matrices."""
+
+    @staticmethod
+    def reference(sites, omega):
+        t = None
+        for site in sites:
+            kernel = (scattering_eliminated if isinstance(site, EliminatedSite)
+                      else scattering_full)
+            s = _entries(kernel(site, omega))
+            t = s if t is None else _mul2(s, t)
+        return t
+
+    @staticmethod
+    def sites(kind, n):
+        if kind == "constant":
+            return materialize_sites(tanh_config(n, kappa2=1.3, gamma=1e-3))
+        if kind == "ramp":
+            return materialize_sites(tanh_config(n, kappa1=(0.5, 2.0), gamma=1e-3))
+        if kind == "signed-zero":
+            return [SiteParams(g1=0.02 * (j + 1), g2=0.03, kappa1=1.0, kappa2=1.3,
+                               gamma=(0.0, -0.0)[j % 2]) for j in range(n)]
+        rng = np.random.default_rng(n)
+        return [EliminatedSite(rng.uniform(0, 0.05), rng.uniform(0, 0.05))
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("omega", [0.13, -0.0, np.linspace(-1.5, 1.5, 301),
+                                       np.array([-0.5, -0.0, 0.0, 0.5]),
+                                       np.linspace(-0.4, 0.4, 12).reshape(3, 4)],
+                             ids=["scalar", "scalar-zero", "vector", "signed-zeros", "2d"])
+    @pytest.mark.parametrize("kind,factor_sets", [
+        ("constant", lambda n: 1), ("ramp", lambda n: n),
+        ("signed-zero", lambda n: min(n, 2)), ("eliminated", lambda n: 0)])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_column_fold_and_shared_factors_are_bit_identical(
+            self, monkeypatch, n, kind, factor_sets, omega):
+        signs = []
+
+        def counting(k1, k2, gam, w):
+            signs.append(np.copysign(1.0, gam))
+            return original(k1, k2, gam, w)
+
+        original = cascade._omega_factors
+        monkeypatch.setattr(cascade, "_omega_factors", counting)
+        sites = self.sites(kind, n)
+        ref = self.reference(sites, omega)
+        full = array_transfer(sites, omega)
+        # one set of factors per distinct (kappa1, kappa2, gamma) in each call,
+        # and gamma = 0.0 and -0.0 each get their own
+        assert len(signs) == factor_sets(n)
+        for j, (i, k) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            assert bits(full[..., i, k]) == bits(ref[j])
+        column = _t21(sites, omega)
+        assert np.shape(column) == np.shape(omega)
+        assert bits(column) == bits(full[..., 1, 0])
+        assert len(signs) == 2 * factor_sets(n)
+        if kind == "signed-zero" and n > 1:
+            assert signs[:2] == [1.0, -1.0]
 
 
 class TestConversionSpectrum:

@@ -226,6 +226,8 @@ class TestExitCodes:
         ("spectrum", '"n_sites": 3.7', "n_sites"),
         ("spectrum", '"grid": {"points": 100.9}', "points"),
         ("spectrum", '"n_sites": true', "n_sites"),
+        ("spectrum", '"n_sites": "3"', "n_sites"),
+        ("spectrum", '"grid": {"points": "101"}', "points"),
     ])
     def test_non_finite_config_integer_exits_two(self, tmp_path, capsys, command,
                                                  fields, name):
@@ -259,13 +261,16 @@ class TestExitCodes:
         ("spectrum", '"profile": {"kind": "tanh", "g_bar1": "abc", "g_bar2": 0.08}',
          "profile.g_bar1"),
         ("spectrum", '"gamma": true', "gamma"),
+        ("spectrum", '"gamma": "1e-3"', "gamma"),
+        ("spectrum", '"grid": {"omega_max": "2.5"}', "omega_max"),
     ], ids=["spectrum-omega_max", "optimize-gamma_total", "stokes-omega_m",
             "backscatter-zeta", "backscatter-ratio", "loss-value",
             "optimize-null-min_efficiency", "backscatter-ratios-not-a-list",
             "grid-string", "grid-number", "grid-list", "profile-number",
             "profile-string", "asymmetric-string", "fit_alpha-string",
             "gamma-string", "null-n_bar", "kappa_ref-string", "kappa1-ramp-end",
-            "profile-g_bar1-string", "gamma-boolean"])
+            "profile-g_bar1-string", "gamma-boolean", "gamma-numeric-string",
+            "omega_max-numeric-string"])
     def test_unconvertible_config_number_exits_two(self, tmp_path, capsys, command,
                                                    fields, name):
         # float() of an integer literal beyond the float range overflows

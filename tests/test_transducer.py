@@ -15,11 +15,19 @@ from oemarray.transducer import (
     scattering_eliminated,
     scattering_full,
     scattering_resonant,
+    _omega_factors,
 )
 
 
 def svd_max(m):
     return np.linalg.svd(np.atleast_2d(m), compute_uv=False).max()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+_SUBNORMAL_SITE = SiteParams(g1=0.0, g2=0.0, kappa1=1e-110, kappa2=1e-110, gamma=1e-110)
 
 
 class TestScatteringFull:
@@ -100,6 +108,30 @@ class TestScatteringFull:
         assert np.all(np.isfinite(batch))
         assert np.array_equal(batch[1], single)
         np.testing.assert_array_equal(batch[0], np.eye(2))
+
+    @pytest.mark.parametrize("site,omega", [
+        (SiteParams(g1=0.08, g2=0.05, kappa1=1.0, kappa2=1.2, gamma=1e-4),
+         np.linspace(-2, 2, 101)),
+        (SiteParams(g1=0.08, g2=0.05, kappa1=1.0, kappa2=1.2, gamma=1e-4), 0.3),
+        (SiteParams(g1=0.1, g2=0.0, kappa1=0.7, kappa2=1.3, gamma=0.0),
+         np.array([-0.5, -0.0, 0.0, 0.5])),
+        (SiteParams(g1=0.1, g2=0.2, kappa1=0.7, kappa2=1.3, gamma=-0.0),
+         np.array([-0.5, -0.0, 0.0, 0.5])),
+        (SiteParams(g1=0.1, g2=0.2, kappa1=0.7, kappa2=1.3, gamma=-0.0), -0.0),
+        # the lift recomputes every factor from the lifted rates
+        (_SUBNORMAL_SITE, np.array([0.0, 1.0])),
+        (_SUBNORMAL_SITE, 0.0),
+        (_SUBNORMAL_SITE, 1.0),
+    ], ids=["vector", "scalar", "gamma-zero", "gamma-negative-zero",
+            "gamma-negative-zero-scalar", "subnormal-lift", "subnormal-lift-scalar",
+            "subnormal-site-normal-omega"])
+    def test_shared_factors_give_the_same_bits(self, site, omega):
+        factors = _omega_factors(site.kappa1, site.kappa2, site.gamma,
+                                 np.asarray(omega, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            shared = scattering_full(site, omega, _factors=factors)
+        assert bits(shared) == bits(scattering_full(site, omega))
 
     def test_singular_denominator_guard(self):
         site = SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0)

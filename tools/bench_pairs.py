@@ -3,7 +3,7 @@
 Usage:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
         [--workloads spectra,optimize] [--pairs 10] [--readme] [--tier1] \
-        --out BENCH_<n>.json
+        [--trace K] --out BENCH_<n>.json
 
 Pair S (S = 1, 2, ...) runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, with that checkout as the
@@ -25,6 +25,14 @@ With ``--tier1``, ``TIER1_PAIRS`` more alternating pairs run the Tier-1
 suite, ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
 in each checkout, and record its wall time and the passed, failed and error
 counts of pytest's last line.
+
+With ``--trace K``, traced run k (k = 1 .. K) runs ``python3 perfbench/run.py
+--workload W --seed k --seconds T --trace 1`` once in each checkout, in the
+same alternating order, for each workload, and records every per-layer
+metric of CHANGE_DIR's ``BENCHMARK.json``: each run's value and, per side,
+the best of the K runs (in the metric's direction) with the median and
+quartiles.  A traced run that exits nonzero (perfbench does when a metric
+has no samples) ends the tool with exit 1, naming the side.
 
 The output records, per workload and side, every pair's metrics and
 ``failed_ratio``; per metric, the median and quartiles of each side, how
@@ -118,10 +126,12 @@ def alternating(n_pairs: int, run, key: str = "pair"):
         yield pair
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its end-to-end metrics and failed_ratio."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run; its metrics (end to end, or per layer with
+    ``trace=1``) and failed_ratio."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     started = time.perf_counter()
     proc = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - started
@@ -175,6 +185,35 @@ def readme_pairs(dirs: dict, n_pairs: int) -> dict:
         "summary": summarize(pairs, [{"name": c, "better": "lower"} for c in commands]),
         "compare": {"identical": identical, "report": report.getvalue().splitlines()},
     }
+
+
+class TracedRunFailed(RuntimeError):
+    """A traced benchmark run exited nonzero; the message names the side."""
+
+
+def traced_runs(dirs: dict, workload: str, k: int, seconds: float,
+                metrics: list) -> dict:
+    """K traced runs per side, alternating: each run's per-layer metrics and,
+    per metric and side, the best of K with the median and quartiles."""
+    def run(side, seed):
+        try:
+            return run_once(dirs[side], workload, seed, seconds, trace=1)
+        except RuntimeError as exc:
+            raise TracedRunFailed(f"the {side} side's traced {workload} run "
+                                  f"(seed {seed}) failed: {exc}") from exc
+
+    runs = []
+    for pair in alternating(k, run, key="seed"):
+        runs.append(pair)
+        print(f"{workload} traced seed {pair['seed']} done", flush=True)
+    summary = summarize(runs, metrics)
+    for metric in metrics:
+        pick = min if metric["better"] == "lower" else max
+        summary[metric["name"]]["best"] = {
+            side: pick(r[side][metric["name"]] for r in runs) for side in SIDES}
+    summary["failed_ratio_max"] = {side: max(r[side]["failed_ratio"] for r in runs)
+                                   for side in SIDES}
+    return {"runs": runs, "summary": summary}
 
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -273,10 +312,16 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", action="store_true",
                         help=f"also run the Tier-1 suite in {TIER1_PAIRS} "
                              "alternating pairs")
+    parser.add_argument("--trace", type=int, default=0, metavar="K",
+                        help="also run each side's traced benchmark K times per "
+                             "workload, alternating, and record each per-layer "
+                             "metric's best of K and quartiles (K at least 2)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if args.trace == 1 or args.trace < 0:
+        parser.error("--trace must be 0 or at least 2")
 
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(dirs["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -313,6 +358,22 @@ def main(argv=None) -> int:
                                        for side in SIDES}
         doc["workloads"][workload] = {"pairs": pairs, "summary": summary}
         write()
+    if args.trace:
+        doc["traced"] = {"description": (
+            "Per layer: `python3 perfbench/run.py --workload W --seed k --seconds "
+            f"{seconds:g} --trace 1` for k = 1 .. {args.trace} in each checkout, "
+            "the parent first on odd k; per metric and side, the best of the runs "
+            "in the metric's direction, the median and the quartiles."),
+            "workloads": {}}
+        for workload in args.workloads.split(","):
+            try:
+                doc["traced"]["workloads"][workload] = traced_runs(
+                    dirs, workload, args.trace, seconds, benchmark["per_layer"])
+            except TracedRunFailed as exc:
+                write()
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            write()
     if args.readme:
         doc["readme"] = readme_pairs(dirs, args.pairs)
         write()
@@ -325,6 +386,11 @@ def main(argv=None) -> int:
                                       for side in SIDES))
     for workload, entry in doc["workloads"].items():
         _print_summary(workload, entry["summary"])
+    for workload, entry in doc.get("traced", {}).get("workloads", {}).items():
+        for name, st in entry["summary"].items():
+            if "best" in st:
+                print(f"{workload:9s} {name:42s} best parent {st['best']['parent']:.4g} "
+                      f"change {st['best']['change']:.4g}")
     if args.tier1:
         _print_summary("tier1", doc["tier1"]["summary"])
     if args.readme:
