@@ -60,9 +60,9 @@ __all__ = ["main", "build_parser"]
 
 _DEFAULT_PROFILE = {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 4.5}
 
-# Peak bytes per grid point of the heaviest grid kernel, the 6x6 Bogoliubov
-# solve behind `stokes` (tracemalloc: 1866 at 2001 and 20001 points, for any N).
-_BYTES_PER_POINT = 1900
+# Peak bytes per grid point of the heaviest grid command, the Bogoliubov cascade
+# behind `stokes` (tracemalloc: 952-974 at 2001 and 20001 points, N = 10 and 50).
+_BYTES_PER_POINT = 1000
 
 
 # ---------------------------------------------------------------------------

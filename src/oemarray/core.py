@@ -4,11 +4,9 @@ All rates and frequencies are dimensionless multiples of a single reference
 linewidth ``kappa_ref``; the reference itself is carried in the config purely
 for bookkeeping.
 
-The steps other modules share live here once: ``_three_mode`` builds a site's
-drift matrix and ``_resolvent`` solves (A + i*omega)^-1 @ rhs over a frequency
-stack (the noise vector, the two-sided and the Bogoliubov kernels);
-``_read_doc`` reads config files for ``load_config`` and the CLI; and
-``_write_csv`` and ``_write_json`` fix the two data-file formats.
+The steps other modules share live here once: ``_read_doc`` reads config
+files for ``load_config`` and the CLI, and ``_write_csv`` and ``_write_json``
+fix the two data-file formats.
 """
 
 from __future__ import annotations
@@ -51,31 +49,6 @@ class SingularMatrixError(ArithmeticError):
 
 class SpectrumError(RuntimeError):
     """A spectrum was too degenerate or under-resolved to analyze."""
-
-
-def _three_mode(g1, g2, k1, k2, gamma) -> np.ndarray:
-    """Drift matrix of two cavities (linewidths k1, k2) coupled through one
-    mechanical mode (linewidth gamma) at rates g1, g2."""
-    return np.array([
-        [-k1 / 2, 0, -1j * g1],
-        [0, -k2 / 2, -1j * g2],
-        [-1j * g1, -1j * g2, -gamma / 2],
-    ])
-
-
-def _resolvent(a: np.ndarray, rhs: np.ndarray, omega) -> np.ndarray:
-    """(A + i*omega)^-1 @ rhs at every frequency of ``omega``.
-
-    Returns ``np.shape(omega) + rhs.shape``; a singular system raises
-    SingularMatrixError, not LinAlgError (which is a ValueError).
-    """
-    w = np.asarray(omega, dtype=float)
-    m = a + 1j * w[..., None, None] * np.eye(len(a))
-    try:
-        return np.linalg.solve(m, np.broadcast_to(rhs, m.shape[:-1] + rhs.shape[-1:]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            "site response is singular at a requested frequency") from exc
 
 
 def _write_csv(path, header: str, rows) -> None:

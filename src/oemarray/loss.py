@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (SingularMatrixError, SiteParams, _resolvent, _three_mode,
-                   _write_csv, _write_json)
+from .core import SingularMatrixError, SiteParams, _write_csv, _write_json
+from .transducer import scattering_full
 
 __all__ = [
     "LossySite",
@@ -126,18 +126,20 @@ class BiScatter:
 def scattering_two_sided(site: LossySite, omega) -> BiScatter:
     """Exact 4x4 scattering of one two-sided site.
 
-    Solves the three-mode state space with both waveguide lanes as
-    inputs; intrinsic-loss and mechanical-bath channels enter only the
-    linewidths.
-    """
+    The site at its total linewidths k_i scatters as ``scattering_full``,
+    S = X - I; port p, coupled at kappa_p to cavity i, sees -delta_pq +
+    sqrt(kappa_p*kappa_q/(k_i*k_j))*X_ij.  Intrinsic and bath losses enter
+    only the linewidths."""
     s = site.site
-    a = _three_mode(s.g1, s.g2, site.total1, site.total2, s.gamma)
-    b = np.array([
-        [np.sqrt(site.kappa_r1), 0, np.sqrt(site.kappa_l1), 0],
-        [0, np.sqrt(site.kappa_r2), 0, np.sqrt(site.kappa_l2)],
-        [0, 0, 0, 0],
-    ])
-    return BiScatter(matrix=-np.eye(4) - b.T @ _resolvent(a, b, omega))
+    k = (site.total1, site.total2)
+    x = scattering_full(SiteParams(s.g1, s.g2, *k, s.gamma), omega) + np.eye(2)
+    ports = ((site.kappa_r1, 0), (site.kappa_r2, 1), (site.kappa_l1, 0), (site.kappa_l2, 1))
+    m = np.empty(np.shape(omega) + (4, 4), dtype=complex)
+    for p, (kp, i) in enumerate(ports):
+        for q, (kq, j) in enumerate(ports):
+            # one root of the product: kappa_L = k_i/2 scales by exactly 1/2
+            m[..., p, q] = math.sqrt(kp / k[i] * (kq / k[j])) * x[..., i, j] - (p == q)
+    return BiScatter(matrix=m)
 
 
 def _inv2(m: np.ndarray, what: str) -> np.ndarray:

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ArrayConfig, FrequencyGrid, SiteParams, _resolvent,
-                   _three_mode, _write_csv, materialize_sites)
+from .core import ArrayConfig, FrequencyGrid, SiteParams, _write_csv, materialize_sites
 from .cascade import Spectrum, _mul2, _site_matrices, _t21, extract_bandwidth
-from .transducer import BogoliubovSite, _check_omega_m, scattering_bogoliubov
+from .transducer import (BogoliubovSite, _check_omega_m, _full_terms, _lifted,
+                         _omega_factors, scattering_bogoliubov)
 
 __all__ = [
     "NoiseSpectrum",
@@ -55,22 +55,29 @@ class StokesSpectrum:
 def noise_coupling_vector(sites: Sequence[SiteParams], j: int, omega) -> np.ndarray:
     """Susceptibility of the two waveguide outputs to the bath at site j.
 
-    Solves the three-mode state space of the j-th site (1-indexed); valid
-    for arbitrary coupling profiles.
+    The closed form of the j-th site's (1-indexed) three-mode response;
+    valid for arbitrary coupling profiles.  Raises ``SingularMatrixError``
+    where the site's response denominator vanishes.
     """
     if not 1 <= j <= len(sites):
         raise IndexError(f"site index {j} outside 1..{len(sites)}")
-    site = sites[j - 1]
-    return _coupling_vector(site, omega)
+    return _coupling_vector(sites[j - 1], omega)
 
 
 def _coupling_vector(site: SiteParams, omega) -> np.ndarray:
-    a = _three_mode(site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
-    # only the bath column: a full 3-port response costs about twice as much
-    bath = np.array([[0.0], [0.0], [np.sqrt(site.gamma)]], dtype=complex)
-    x = _resolvent(a, bath, omega)[..., 0]
-    return np.stack([-np.sqrt(site.kappa1) * x[..., 0],
-                     -np.sqrt(site.kappa2) * x[..., 1]], axis=-1)
+    w = np.asarray(omega, dtype=float)
+    rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
+    den, v1, v2 = _lifted(_bath_terms, rates, w)
+    return np.stack([v1 / den, v2 / den], axis=-1)
+
+
+def _bath_terms(g1, g2, k1, k2, gam, w):
+    """``scattering_full``'s denominator and the numerators of the bath
+    column, -4i*g_i*sqrt(gamma*kappa_i)*d_j with d_j the other cavity's."""
+    factors = _omega_factors(k1, k2, gam, w)
+    return (_full_terms(g1, g2, k1, k2, gam, w, factors)[0],
+            -4j * g1 * np.sqrt(gam * k1) * factors[1],
+            -4j * g2 * np.sqrt(gam * k2) * factors[0])
 
 
 def added_noise_spectrum(config: ArrayConfig, grid: FrequencyGrid) -> NoiseSpectrum:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams, _resolvent, _three_mode
+from .core import SingularMatrixError, SiteParams
 
 __all__ = [
     "EliminatedSite",
@@ -90,13 +90,8 @@ def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     bit-for-bit because the off-diagonal entries share one array.
 
     Every entry is a ratio of cubics in the rates and the frequency, so
-    scaling all of them by one power of two leaves it unchanged, exactly.
-    At frequencies where the denominator falls below the normal
-    floating-point range (a vanishing mechanical linewidth or coupling), the
-    rates are lifted that way before evaluation: subnormal rounding would
-    otherwise break passivity, and numpy's complex division, which forms
-    1/den, would overflow.  Only those frequencies are lifted; the others
-    could overflow if they were.
+    where its denominator is subnormal ``_lifted`` evaluates it at rates and
+    frequency scaled by one power of two, exactly.
 
     A scalar frequency gives the same bits as that frequency inside an
     array (see ``_omega_factors``).
@@ -104,7 +99,7 @@ def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     ``_factors`` is private: ``_omega_factors(kappa1, kappa2, gamma,
     omega)`` computed beforehand, so that ``cascade._site_matrices`` computes
     them once for all sites of equal linewidths.  The bits are the same
-    without it, and the lift recomputes every factor from the lifted rates.
+    without it, and the lift recomputes every factor.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -112,30 +107,42 @@ def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     """
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
-    terms = _full_terms(*rates, w, _factors)
-    tiny = np.abs(terms[0]) < _TINY
-    if tiny.any():
-        # largest rate to ~2**300: cubic terms stay far from overflow, and a
-        # product with a rate down to the smallest subnormal becomes normal
-        lift = 300 - np.frexp(max(rates))[1]
-        lifted = _full_terms(*np.ldexp(np.array(rates, dtype=float), lift),
-                             np.ldexp(w[tiny], lift))
-        if np.any(lifted[0] == 0):
-            raise SingularMatrixError(
-                "scattering matrix is singular at a requested frequency")
-        terms = [np.array(np.broadcast_to(t, w.shape), dtype=complex)
-                 for t in terms]
-        for t, value in zip(terms, lifted):
-            t[tiny] = value
-    den, num11, num22, num12 = terms
-
+    den, num11, num22, num12 = _lifted(_full_terms, rates, w, _factors)
     s = _empty22(w.shape)
     s[..., 0, 0] = -1 + num11 / den
     s[..., 1, 1] = -1 + num22 / den
-    off = num12 / den
-    s[..., 0, 1] = off
-    s[..., 1, 0] = off
+    s[..., 0, 1] = s[..., 1, 0] = num12 / den
     return s
+
+
+def _lifted(terms, rates, w, *factors):
+    """``terms(*rates, w, *factors)``: a denominator, then terms its caller
+    combines with it into a response of degree 0 in the rates and ``w``.
+
+    Where the denominator is subnormal (a vanishing mechanical linewidth or
+    coupling), all are recomputed from the rates and ``w`` scaled by one
+    power of two, which leaves that response unchanged, exactly: subnormal
+    rounding would otherwise break passivity, and numpy's complex division,
+    which forms 1/den, would overflow.  Only those frequencies are lifted;
+    the others could overflow if they were.  Raises ``SingularMatrixError``
+    where the lifted denominator is 0.
+    """
+    values = terms(*rates, w, *factors)
+    tiny = np.abs(values[0]) < _TINY
+    if tiny.any():
+        # largest rate or lifted frequency to ~2**300: cubic terms stay far from
+        # overflow, and a product with the smallest subnormal rate is normal
+        lift = 300 - np.frexp(max(*rates, np.abs(w[tiny]).max()))[1]
+        lifted = terms(*np.ldexp(np.array(rates, dtype=float), lift),
+                       np.ldexp(w[tiny], lift))
+        if np.any(lifted[0] == 0):
+            raise SingularMatrixError(
+                "scattering matrix is singular at a requested frequency")
+        values = [np.array(np.broadcast_to(t, w.shape), dtype=complex)
+                  for t in values]
+        for t, value in zip(values, lifted):
+            t[tiny] = value
+    return values
 
 
 def _omega_factors(k1, k2, gam, w):
@@ -242,20 +249,6 @@ def offres_coefficients(site: SiteParams, omega):
     return t, c
 
 
-def _bogoliubov_state_space(bsite: BogoliubovSite):
-    """Lab-frame drift [[D - i*omega_m, C], [C*, D* + i*omega_m]] on (a1, a2, b,
-    a1^dag, a2^dag, b^dag) and inputs kron(I2, P): D is the site's beam-splitter
-    drift, C its couplings alone (the counter-rotating terms), P its ports."""
-    s = bsite.site
-    d = _three_mode(s.g1, s.g2, s.kappa1, s.kappa2, s.gamma)
-    c = _three_mode(s.g1, s.g2, 0, 0, 0)
-    shift = 1j * bsite.omega_m * np.eye(3)
-    a = np.block([[d - shift, c], [c.conj(), d.conj() + shift]])
-    b = np.zeros((6, 4))  # kron(I2, P); np.kron alone would double the build time
-    b[:3, :2] = b[3:, 2:] = [[np.sqrt(s.kappa1), 0], [0, np.sqrt(s.kappa2)], [0, 0]]
-    return a, b
-
-
 def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     """4x4 scattering matrix with counter-rotating terms retained.
 
@@ -263,9 +256,33 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     beam-splitter response appears near ``omega_m``.  Port ordering is
     (a1, a2, a1_dagger, a2_dagger), so the entries coupling the first
     two ports to the last two quantify sideband-induced amplification.
+
+    The cavity modes couple only to b and b_dagger; eliminating them leaves
+    S_pq = -delta_pq*(1 - 2*kappa_p/d_p) + sigma_p*a_p*a_q/den, with sigma =
+    (1, 1, -1, -1), d_p = kappa_p - 2i(omega -+ omega_m), a_p =
+    g_p*sqrt(kappa_p)/d_p, den = m_-*m_+/(32i*omega_m) + 2i*omega_m*sum_i
+    g_i**2/(d_i*d_i+2) and m_-+ = gamma - 2i(omega -+ omega_m).  No product
+    is of degree above 1 in the rates.  Raises ``SingularMatrixError`` where
+    den is 0 (uncoupled, lossless mechanics at omega = omega_m) or subnormal.
     """
-    a, b = _bogoliubov_state_space(bsite)
-    return -np.eye(4) - b.T @ _resolvent(a, b, omega)
+    s, om = bsite.site, bsite.omega_m
+    w = np.asarray(omega, dtype=float)
+    lo, hi = 2j * (w - om), 2j * (w + om)
+    kappa, g = (s.kappa1, s.kappa2) * 2, (s.g1, s.g2) * 2
+    d = (s.kappa1 - lo, s.kappa2 - lo, s.kappa1 - hi, s.kappa2 - hi)
+    ratio = [gp / dp for gp, dp in zip(g, d)]
+    den = ((s.gamma - lo) * ((s.gamma - hi) / (32j * om))
+           + 2j * om * (ratio[0] * ratio[2] + ratio[1] * ratio[3]))
+    if not np.all(np.abs(den) >= _TINY):
+        raise SingularMatrixError("scattering matrix is singular at a requested frequency")
+    a = [x * math.sqrt(k) for x, k in zip(ratio, kappa)]
+    m = np.empty(w.shape + (4, 4), dtype=complex)
+    for p in range(4):
+        row = (a[p] if p < 2 else -a[p]) / den
+        for q in range(4):
+            m[..., p, q] = row * a[q]
+        m[..., p, p] += 2 * kappa[p] / d[p] - 1
+    return m
 
 
 def matrix_to_json(m: np.ndarray) -> list:

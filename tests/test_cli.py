@@ -133,7 +133,7 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["noise", "loss", "backscatter"])
+    @pytest.mark.parametrize("command", ["noise", "loss", "backscatter", "stokes"])
     def test_singular_site_solve_maps_to_three(self, tmp_path, capsys, command):
         # uncoupled, undamped mechanics: the site's state-space solve is
         # singular on resonance

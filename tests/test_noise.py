@@ -13,6 +13,8 @@ from oemarray import (
     ArrayConfig,
     CouplingProfile,
     FrequencyGrid,
+    SingularMatrixError,
+    SiteParams,
     SpectrumError,
     added_noise_resonant_analytic,
     added_noise_spectrum,
@@ -70,6 +72,12 @@ class TestNoiseCouplingVector:
         v = noise_coupling_vector(materialize_sites(cfg), 1, 0.2)
         assert abs(v[0]) <= 1e-16
         assert abs(v[1]) > 0
+
+    def test_singular_site_raises(self):
+        # uncoupled, lossless mechanics: the response denominator is 0 at dc
+        site = SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0)
+        with pytest.raises(SingularMatrixError):
+            noise_coupling_vector([site], 1, np.array([0.3, 0.0]))
 
     def test_site_index_validated(self):
         sites = materialize_sites(linear_config(4))

@@ -109,6 +109,17 @@ class TestScatteringFull:
         assert np.array_equal(batch[1], single)
         np.testing.assert_array_equal(batch[0], np.eye(2))
 
+    def test_lift_is_sized_by_the_frequency_too(self):
+        # rates near 2**-660 and omega = 2**-360: the denominator underflows,
+        # and a lift sized by the rates alone once overflowed omega to NaN
+        s = 2.0 ** -660
+        w = np.array([2.0 ** -360, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lifted = scattering_full(SiteParams(s, 2 * s, s, 3 * s, s), w)
+        expected = scattering_full(SiteParams(1.0, 2.0, 1.0, 3.0, 1.0), w / s)
+        np.testing.assert_allclose(lifted, expected, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("site,omega", [
         (SiteParams(g1=0.08, g2=0.05, kappa1=1.0, kappa2=1.2, gamma=1e-4),
          np.linspace(-2, 2, 101)),
@@ -309,6 +320,13 @@ class TestScatteringBogoliubov:
         conv = np.abs(s[:, 1, 0]) ** 2
         peak = w[np.argmax(conv)]
         assert abs(peak - 10.0) < 0.1
+
+    def test_singular_site_raises(self):
+        # uncoupled, lossless mechanics driven at omega_m
+        bsite = BogoliubovSite(
+            SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0), omega_m=10.0)
+        with pytest.raises(SingularMatrixError):
+            scattering_bogoliubov(bsite, np.array([9.5, 10.0]))
 
     def test_invalid_mechanical_frequency(self):
         site = SiteParams(g1=0.05, g2=0.05, kappa1=1.0, kappa2=1.0)
