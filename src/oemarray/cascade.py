@@ -8,8 +8,9 @@ passband ripple, accumulated conversion phase, and the waveguide
 dispersion relation that controls bandwidth saturation for unequal
 cavity linewidths.
 
-One site loop, ``_fold``, builds the product.  It calls the public site
-kernels once per site, and within one call the full sites of equal
+One site loop, ``_fold``, builds the product.  It folds the entries the
+public site kernels return (``_entries=True``), called once per site because
+the benchmark times them, and within one call the full sites of equal
 linewidths share the frequency factors of ``scattering_full``
 (``_site_matrices``, which the noise cascade's suffix sum uses too).
 ``array_transfer`` folds all four entries.  The callers that read only T21
@@ -43,8 +44,8 @@ from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _write_csv,
                    _write_json, materialize_sites)
 from .transducer import (
     EliminatedSite,
-    _empty22,
     _omega_factors,
+    _pack22,
     offres_coefficients,
     scattering_eliminated,
     scattering_full,
@@ -103,10 +104,7 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
     2x2 stacks calls BLAS once per point.  Callers that need T21 alone use
     ``_t21``, which gives this product's ``[..., 1, 0]`` bit for bit.
     """
-    t = _fold(sites, omega, column=False)
-    out = _empty22(np.shape(omega))
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = t
-    return out
+    return _pack22(_fold(sites, omega, column=False), np.shape(omega))
 
 
 def _t21(sites: Sequence, omega):
@@ -123,20 +121,22 @@ def _fold(sites, omega, column: bool):
     """
     if len(sites) == 0:
         raise ValueError("need at least one site")
+    mul = np.multiply
     t = None
     for s in _site_matrices(sites, omega):
         if t is None:
             t = (s[0], s[2]) if column else s
         elif column:
             s00, s01, s10, s11 = s
-            t = (s00 * t[0] + s01 * t[1], s10 * t[0] + s11 * t[1])
+            t = (mul(s00, t[0]) + mul(s01, t[1]), mul(s10, t[0]) + mul(s11, t[1]))
         else:
             t = _mul2(s, t)
     return t
 
 
 def _site_matrices(sites, omega):
-    """Entries of each site's scattering matrix at ``omega``, in order.
+    """Entries (s00, s01, s10, s11) of each site's scattering matrix at
+    ``omega``, in order, straight from the public site kernels.
 
     Full sites with equal (kappa1, kappa2, gamma) share one set of
     ``transducer._omega_factors``.  The key carries gamma's sign, because
@@ -146,27 +146,24 @@ def _site_matrices(sites, omega):
     shared = {}
     for site in sites:
         if isinstance(site, EliminatedSite):
-            yield _entries(scattering_eliminated(site, w))
+            yield scattering_eliminated(site, w, _entries=True)
             continue
         rates = (site.kappa1, site.kappa2, site.gamma)
         key = rates + (math.copysign(1.0, site.gamma),)
         factors = shared.get(key)
         if factors is None:
             factors = shared[key] = _omega_factors(*rates, w)
-        yield _entries(scattering_full(site, w, _factors=factors))
-
-
-def _entries(m):
-    """Entries (m00, m01, m10, m11) of a stack of 2x2 matrices."""
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        yield scattering_full(site, w, _factors=factors, _entries=True)
 
 
 def _mul2(a, b):
-    """Entries of a @ b, for 2x2 stacks given by their entries."""
+    """Entries of a @ b, for 2x2 stacks given by their entries; products go
+    through ``np.multiply``, as in ``transducer._omega_factors``."""
+    mul = np.multiply
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    return (mul(a00, b00) + mul(a01, b10), mul(a00, b01) + mul(a01, b11),
+            mul(a10, b00) + mul(a11, b10), mul(a10, b01) + mul(a11, b11))
 
 
 def conversion_spectrum(config: ArrayConfig, grid: FrequencyGrid) -> Spectrum:
@@ -264,7 +261,8 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
     midpoints the next ``_TREE_DEPTH`` steps could visit, in one array
     call, and replays the loop's decisions through them.  This is
     exact because the cascade gives the same bits at a scalar frequency as
-    at that frequency inside an array.
+    at that frequency inside an array.  Where the loop would never end, at
+    adjacent floats more than ``tol`` apart, it ends at their midpoint.
     """
     def excess(value) -> float:
         return abs(complex(value)) ** 2 - half
@@ -302,6 +300,9 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
                 m, fm = mids[i], excess(values[offset + i])
                 if fm == 0:
                     roots[k] = m
+                    break
+                if not a < m < b:  # adjacent floats: the bracket cannot shrink
+                    roots[k] = 0.5 * (a + b)
                     break
                 if fa * fm < 0:
                     b, fb, i = m, fm, 2 * i + 1

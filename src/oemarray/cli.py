@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, SpectrumError) as exc:
+    except (SingularMatrixError, SpectrumError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # a data file or the manifest cannot be written

@@ -61,14 +61,15 @@ def noise_coupling_vector(sites: Sequence[SiteParams], j: int, omega) -> np.ndar
     """
     if not 1 <= j <= len(sites):
         raise IndexError(f"site index {j} outside 1..{len(sites)}")
-    return _coupling_vector(sites[j - 1], omega)
+    return np.stack(_coupling_vector(sites[j - 1], omega), axis=-1)
 
 
-def _coupling_vector(site: SiteParams, omega) -> np.ndarray:
+def _coupling_vector(site: SiteParams, omega):
+    """The two components of ``noise_coupling_vector`` at one site."""
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
     den, v1, v2 = _lifted(_bath_terms, rates, w)
-    return np.stack([v1 / den, v2 / den], axis=-1)
+    return v1 / den, v2 / den
 
 
 def _bath_terms(g1, g2, k1, k2, gam, w):
@@ -100,10 +101,10 @@ def _added_noise_terms(sites, w, n_bar):
     downstream = (1, 0, 0, 1)  # entries of S_N ... S_{j+1}, right to left
     matrices = _site_matrices(sites[:0:-1], w)  # S_N, ..., S_2
     for j in range(len(sites), 0, -1):
-        v = _coupling_vector(sites[j - 1], w)
+        v1, v2 = _coupling_vector(sites[j - 1], w)
         d00, d01, d10, d11 = downstream
-        s1 += np.abs(d00 * v[..., 0] + d01 * v[..., 1]) ** 2 * strength
-        s2 += np.abs(d10 * v[..., 0] + d11 * v[..., 1]) ** 2 * strength
+        s1 += np.abs(d00 * v1 + d01 * v2) ** 2 * strength
+        s2 += np.abs(d10 * v1 + d11 * v2) ** 2 * strength
         if j > 1:
             downstream = _mul2(downstream, next(matrices))
     return s1, s2

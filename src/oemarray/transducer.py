@@ -75,14 +75,16 @@ def _check_omega_m(omega_m: float) -> float:
 _TINY = np.finfo(float).tiny
 
 
-def _empty22(shape) -> np.ndarray:
-    """Uninitialized complex array of shape ``shape + (2, 2)`` whose entries
-    ``[..., i, j]`` are each contiguous."""
-    k = len(shape)
-    return np.empty((2, 2) + shape, dtype=complex).transpose(*range(2, k + 2), 0, 1)
+def _pack22(entries, shape) -> np.ndarray:
+    """The complex array of shape ``shape + (2, 2)`` with entries (m00, m01,
+    m10, m11), each ``[..., i, j]`` one contiguous array."""
+    m = np.empty((2, 2) + shape, dtype=complex)
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = entries
+    return m.transpose(*range(2, len(shape) + 2), 0, 1)
 
 
-def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
+def scattering_full(site: SiteParams, omega, *, _factors=None,
+                    _entries=False) -> np.ndarray:
     """Exact 2x2 scattering matrix of a single three-mode site.
 
     Solves the linear input-output problem for the two cavities and the
@@ -90,16 +92,18 @@ def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     bit-for-bit because the off-diagonal entries share one array.
 
     Every entry is a ratio of cubics in the rates and the frequency, so
-    where its denominator is subnormal ``_lifted`` evaluates it at rates and
-    frequency scaled by one power of two, exactly.
+    where its denominator is subnormal or overflows ``_lifted`` evaluates it
+    at rates and frequency scaled by one power of two, exactly.
 
     A scalar frequency gives the same bits as that frequency inside an
     array (see ``_omega_factors``).
 
-    ``_factors`` is private: ``_omega_factors(kappa1, kappa2, gamma,
-    omega)`` computed beforehand, so that ``cascade._site_matrices`` computes
-    them once for all sites of equal linewidths.  The bits are the same
-    without it, and the lift recomputes every factor.
+    ``_factors`` and ``_entries`` are private, for ``cascade._site_matrices``,
+    which calls this public kernel once per site because the benchmark times
+    it.  ``_factors`` is ``_omega_factors(kappa1, kappa2, gamma, omega)``,
+    computed once for all sites of equal linewidths; the bits are the same
+    without it.  ``_entries`` returns the entries (s00, s01, s10, s11), the
+    off-diagonal pair one array, that the matrix is otherwise packed from.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -108,11 +112,9 @@ def scattering_full(site: SiteParams, omega, *, _factors=None) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
     den, num11, num22, num12 = _lifted(_full_terms, rates, w, _factors)
-    s = _empty22(w.shape)
-    s[..., 0, 0] = -1 + num11 / den
-    s[..., 1, 1] = -1 + num22 / den
-    s[..., 0, 1] = s[..., 1, 0] = num12 / den
-    return s
+    off = num12 / den
+    s = (-1 + num11 / den, off, off, -1 + num22 / den)
+    return s if _entries else _pack22(s, w.shape)
 
 
 def _lifted(terms, rates, w, *factors):
@@ -120,28 +122,36 @@ def _lifted(terms, rates, w, *factors):
     combines with it into a response of degree 0 in the rates and ``w``.
 
     Where the denominator is subnormal (a vanishing mechanical linewidth or
-    coupling), all are recomputed from the rates and ``w`` scaled by one
-    power of two, which leaves that response unchanged, exactly: subnormal
-    rounding would otherwise break passivity, and numpy's complex division,
-    which forms 1/den, would overflow.  Only those frequencies are lifted;
-    the others could overflow if they were.  Raises ``SingularMatrixError``
-    where the lifted denominator is 0.
+    coupling) or not finite (a rate or |w| above about 2**340), all are
+    recomputed from the rates and ``w`` scaled by one power of two, which
+    leaves that response unchanged, exactly: subnormal rounding would
+    otherwise break passivity, and numpy's complex division, which forms
+    1/den, would overflow.  Only those frequencies are lifted; the others
+    could overflow if they were.  Raises ``SingularMatrixError`` where the
+    lifted denominator is 0.
     """
-    values = terms(*rates, w, *factors)
-    tiny = np.abs(values[0]) < _TINY
-    if tiny.any():
-        # largest rate or lifted frequency to ~2**300: cubic terms stay far from
-        # overflow, and a product with the smallest subnormal rate is normal
-        lift = 300 - np.frexp(max(*rates, np.abs(w[tiny]).max()))[1]
+    try:
+        values = terms(*rates, w, *factors)
+    except OverflowError:  # a Python float rate squared
+        values, normal = None, np.zeros(w.shape, dtype=bool)
+    else:
+        size = np.abs(values[0])
+        normal = (size >= _TINY) & (size < math.inf)
+    if np.count_nonzero(normal) < normal.size:
+        at = ~normal
+        # largest rate or lifted frequency to ~2**300, up or down: cubic terms
+        # stay far from overflow, and a product with the smallest subnormal
+        # rate is normal
+        lift = 300 - np.frexp(max(*rates, np.abs(w[at]).max()))[1]
         lifted = terms(*np.ldexp(np.array(rates, dtype=float), lift),
-                       np.ldexp(w[tiny], lift))
+                       np.ldexp(w[at], lift))
         if np.any(lifted[0] == 0):
             raise SingularMatrixError(
                 "scattering matrix is singular at a requested frequency")
         values = [np.array(np.broadcast_to(t, w.shape), dtype=complex)
-                  for t in values]
+                  for t in values or [0] * len(lifted)]
         for t, value in zip(values, lifted):
-            t[tiny] = value
+            t[at] = value
     return values
 
 
@@ -171,7 +181,7 @@ def _full_terms(g1, g2, k1, k2, gam, w, factors=None):
     return (4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + p,
             8 * g2 ** 2 * k1 + q1,
             8 * g1 ** 2 * k2 + q2,
-            -8 * g1 * g2 * np.sqrt(k1 * k2))
+            -8 * g1 * g2 * math.sqrt(k1 * k2))
 
 
 def scattering_resonant(c1_tilde: float, c2_tilde: float) -> np.ndarray:
@@ -190,7 +200,8 @@ def scattering_resonant(c1_tilde: float, c2_tilde: float) -> np.ndarray:
     ])
 
 
-def scattering_eliminated(site: EliminatedSite, omega) -> np.ndarray:
+def scattering_eliminated(site: EliminatedSite, omega, *,
+                          _entries=False) -> np.ndarray:
     """Scattering matrix after adiabatic elimination of the cavities.
 
     The site becomes a single mechanical resonance with external rates
@@ -202,6 +213,9 @@ def scattering_eliminated(site: EliminatedSite, omega) -> np.ndarray:
     below 2**-500 are lifted there, with omega, by a power of two: this
     keeps gamma1*gamma2 and the denominator normal.  Lifted |omega| is
     clipped to 2**600, where the response is already the identity.
+
+    ``_entries`` is private, as in ``scattering_full``: the entries, which
+    ``cascade._site_matrices`` folds, in place of the matrix.
     """
     w = np.asarray(omega, dtype=float)
     G1, G2 = site.gamma1, site.gamma2
@@ -216,13 +230,9 @@ def scattering_eliminated(site: EliminatedSite, omega) -> np.ndarray:
 
     iw = 1j * w
     den = 2 * (G1 + G2) - iw
-    s = _empty22(w.shape)
-    s[..., 0, 0] = (-2 * (G1 - G2) - iw) / den
-    s[..., 1, 1] = (2 * (G1 - G2) - iw) / den
-    off = -4 * np.sqrt(G1 * G2) / den
-    s[..., 0, 1] = off
-    s[..., 1, 0] = off
-    return s
+    off = -4 * math.sqrt(G1 * G2) / den
+    s = ((-2 * (G1 - G2) - iw) / den, off, off, (2 * (G1 - G2) - iw) / den)
+    return s if _entries else _pack22(s, w.shape)
 
 
 def offres_coefficients(site: SiteParams, omega):

@@ -17,7 +17,6 @@ from oemarray import cascade
 from oemarray.cascade import (
     Spectrum,
     _bisect_crossings,
-    _entries,
     _halfmax,
     _mul2,
     _t21,
@@ -132,7 +131,8 @@ class TestSiteLoop:
         for site in sites:
             kernel = (scattering_eliminated if isinstance(site, EliminatedSite)
                       else scattering_full)
-            s = _entries(kernel(site, omega))
+            m = kernel(site, omega)
+            s = (m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1])
             t = s if t is None else _mul2(s, t)
         return t
 
@@ -181,6 +181,43 @@ class TestSiteLoop:
         assert len(signs) == 2 * factor_sets(n)
         if kind == "signed-zero" and n > 1:
             assert signs[:2] == [1.0, -1.0]
+
+
+class TestPublicCalls:
+    """The cascade reaches the site kernels and the sweep through their public
+    names, once per site and once per spectrum, so that wrapping those names
+    (as the benchmark's tracer does) sees every call."""
+
+    @staticmethod
+    def counting(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, np.shape(args[1])))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    @pytest.mark.parametrize("omega", [0.13, np.linspace(-1.5, 1.5, 31)],
+                             ids=["scalar", "vector"])
+    @pytest.mark.parametrize("kind", ["ramp", "eliminated"])
+    @pytest.mark.parametrize("fold", [array_transfer, _t21], ids=["full", "column"])
+    def test_one_public_kernel_call_per_site(self, monkeypatch, fold, kind, omega):
+        calls = []
+        for name in ("scattering_full", "scattering_eliminated"):
+            self.counting(monkeypatch, cascade, name, calls)
+        sites = TestSiteLoop.sites(kind, 7)
+        fold(sites, omega)
+        name = "scattering_eliminated" if kind == "eliminated" else "scattering_full"
+        assert calls == [(name, np.shape(omega))] * 7
+
+    def test_spectrum_sweeps_through_array_transfer(self, monkeypatch):
+        calls = []
+        self.counting(monkeypatch, cascade, "array_transfer", calls)
+        grid = FrequencyGrid(-0.5, 0.5, 41)
+        spectrum = conversion_spectrum(tanh_config(5), grid)
+        assert calls == [("array_transfer", (41,))]
+        assert bits(spectrum.t21) == bits(_t21(materialize_sites(tanh_config(5)),
+                                               grid.points()))
 
 
 class TestConversionSpectrum:
@@ -338,6 +375,22 @@ class TestBatchedBisection:
         counted = _CountingEvaluator(lambda w: np.sqrt(np.asarray(w)) + 0j)
         assert _bisect_crossings(counted, 0.1 + 2.5e-7, [(a, b)]) == [0.5 * (a + b)]
         assert counted.sizes == [1, 1]
+
+    def test_adjacent_float_bracket_ends(self):
+        # at |omega| ~ 1e10 neighbouring floats are 2e-6 apart, wider than the
+        # tolerance, so halving stops at the bracket of two adjacent floats
+        a = 1e10
+        b = np.nextafter(np.nextafter(a, np.inf), np.inf)
+        mid = 0.5 * (a + b)
+
+        def step(w):
+            # a bisection that cannot end would call again, round after round
+            assert counted.array_calls <= 2
+            return np.where(np.asarray(w) < mid, 1.0, 0.0) + 0j
+
+        counted = _CountingEvaluator(step)
+        assert _bisect_crossings(counted, 0.5, [(a, b)]) == [0.5 * (a + mid)]
+        assert counted.array_calls == 1
 
     def test_coarse_grid_takes_three_rounds(self):
         # a grid step of 0.04 needs 16 halvings to reach 1e-6: 7 + 7 + 2

@@ -88,6 +88,23 @@ class TestSpectrum:
         assert doc["tool_version"]
         assert doc["duration_seconds"] >= 0
 
+    @pytest.mark.filterwarnings(
+        # the first, unlifted evaluation overflows at 1e150 by design
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning")
+    def test_huge_rates_give_the_unit_spectrum(self, tmp_path):
+        # every site's cubic terms overflow at 1e150, so each frequency is
+        # evaluated lifted down; the spectrum is that of unit rates
+        columns = []
+        for scale in ("1", "1e150"):
+            out = tmp_path / f"s{scale}"
+            assert main(["spectrum", "--n", "3", "--g", scale, "--kappa1", scale,
+                         "--kappa2", scale, "--omega-max", f"1.5{scale[1:]}",
+                         "--points", "301", "--out", str(out)]) == 0
+            _, rows = read_rows(tmp_path / f"s{scale}.csv")
+            columns.append([float(v) for row in rows for v in row[1:]])
+        assert columns[1] == pytest.approx(columns[0], rel=1e-9, abs=1e-11)
+
 
 class TestExitCodes:
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
@@ -132,6 +149,14 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
+
+    def test_out_of_range_rates_exit_three(self, tmp_path, capsys):
+        # the tanh profile squares g_bar, which overflows a Python float
+        rc = main(["spectrum", "--n", "3", "--g", "1e200", "--kappa1", "1e200",
+                   "--kappa2", "1e200", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "numerical" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["noise", "loss", "backscatter", "stokes"])
     def test_singular_site_solve_maps_to_three(self, tmp_path, capsys, command):

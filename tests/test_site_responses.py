@@ -19,6 +19,7 @@ from oemarray import (
     SiteParams,
     noise_coupling_vector,
     scattering_bogoliubov,
+    scattering_full,
     scattering_two_sided,
 )
 
@@ -147,16 +148,26 @@ def test_bogoliubov_matches_solve(site, omega_m, w):
 
 
 @pytest.mark.parametrize("kernel,scale", [
-    ("vector", 2.0 ** -360), ("two-sided", 2.0 ** -360), ("bogoliubov", 2.0 ** -360),
-    ("bogoliubov", 2.0 ** -1000)])
+    ("full", 2.0 ** -360), ("vector", 2.0 ** -360), ("two-sided", 2.0 ** -360),
+    ("bogoliubov", 2.0 ** -360), ("bogoliubov", 2.0 ** -1000),
+    ("full", 1e120), ("vector", 1e120), ("two-sided", 1e120),
+    ("full", 1e200), ("vector", 1e200), ("two-sided", 1e200)])
+@pytest.mark.filterwarnings(
+    # the first, unlifted evaluation overflows at 1e120 and 1e200 by design
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
 def test_kernels_are_scale_free(kernel, scale):
     # every response is homogeneous of degree 0 in the rates and the
-    # frequencies; at 2**-360 the cubic denominators of the first two
+    # frequencies; at 2**-360 the cubic denominators of the first three
     # underflow unless they are lifted, and the Bogoliubov kernel's, of
-    # degree 1, stays normal down to 2**-1000
+    # degree 1, stays normal down to 2**-1000.  At 1e120 the cubic terms
+    # overflow, and at 1e200 so does the square of a Python float rate,
+    # unless they are lifted down.
     def response(scale):
         site = SiteParams(scale, 2 * scale, scale, 3 * scale, scale)
         w = scale * np.array([0.0, 1.0])
+        if kernel == "full":
+            return scattering_full(site, w)
         if kernel == "vector":
             return noise_coupling_vector([site], 1, w)
         if kernel == "two-sided":

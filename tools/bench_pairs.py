@@ -34,10 +34,11 @@ the best of the K runs (in the metric's direction) with the median and
 quartiles.  A traced run that exits nonzero (perfbench does when a metric
 has no samples) ends the tool with exit 1, naming the side.
 
-The output records, per workload and side, every pair's metrics and
-``failed_ratio``; per metric, the median and quartiles of each side, how
-many pairs the change won, the parent's quartile distance, and whether the
-change's median moved by more than that distance.  It also records
+The output records, per workload and side, every pair's metrics,
+``failed_ratio`` and ``calibration_ms`` (perfbench's calibration kernel, ms
+before and after the run's jobs); per metric, the median and quartiles of
+each side, how many pairs the change won, the parent's quartile distance,
+and whether the change's median moved by more than that distance.  It also records
 ``nproc``, the Python, numpy and scipy versions, each side's ``src/`` line
 count (the lines of ``src/**/*.py``) and each side's CLI option count (the
 option strings of its ``oemarray.cli.build_parser()``, top level and every
@@ -126,10 +127,17 @@ def alternating(n_pairs: int, run, key: str = "pair"):
         yield pair
 
 
+# the line perfbench prints with its calibration kernel's timings
+_CALIBRATION_LINE = re.compile(
+    r"^calibration kernel: ([0-9.]+) ms before, ([0-9.]+) ms after$", re.MULTILINE)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One benchmark run; its metrics (end to end, or per layer with
-    ``trace=1``) and failed_ratio."""
+    ``trace=1``), failed_ratio, and the calibration kernel's ms before and
+    after the jobs, which tell a slow phase of the machine from a slow
+    program."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     started = time.perf_counter()
@@ -143,6 +151,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     record["failed_ratio"] = summary["failed"] / summary["attempted"]
     record["jobs"] = summary["attempted"]
     record["run_wall_s"] = wall
+    calibration = _CALIBRATION_LINE.search(proc.stdout)
+    record["calibration_ms"] = ([float(x) for x in calibration.groups()]
+                                if calibration else None)
     return record
 
 
