@@ -139,14 +139,18 @@ def _site_matrices(sites, omega):
     ``omega``, in order, straight from the public site kernels.
 
     Full sites with equal (kappa1, kappa2, gamma) share one set of
-    ``transducer._omega_factors``.  The key carries gamma's sign, because
-    0.0 and -0.0 are equal keys but need not give equal bits.
+    ``transducer._omega_factors``, and eliminated sites one ``1j * omega``.
+    The key carries gamma's sign, because 0.0 and -0.0 are equal keys but
+    need not give equal bits.
     """
     w = np.asarray(omega, dtype=float)
     shared = {}
+    iw = None
     for site in sites:
         if isinstance(site, EliminatedSite):
-            yield scattering_eliminated(site, w, _entries=True)
+            if iw is None:
+                iw = 1j * w
+            yield scattering_eliminated(site, w, _iw=iw, _entries=True)
             continue
         rates = (site.kappa1, site.kappa2, site.gamma)
         key = rates + (math.copysign(1.0, site.gamma),)
@@ -321,14 +325,18 @@ def _midpoints(a, b, tol):
     """Every midpoint bisecting [a, b] can visit in its next steps, formed as
     the loop forms them, in heap order: the halves of node i start at nodes
     2i+1 (lower) and 2i+2 (upper).  The depth is ``_TREE_DEPTH``, or the
-    number of halvings that bring b - a to ``tol`` when that is fewer."""
+    number of halvings that bring b - a to ``tol`` when that is fewer.
+
+    Each level keeps its sorted bracket ends ``e``; the next level's ends
+    interleave ``e`` with the midpoints of its neighbours."""
     depth = min(_TREE_DEPTH, math.ceil(math.log2((b - a) / tol)))
-    lo, hi, levels = np.array([a]), np.array([b]), []
+    e, levels = np.array([a, b]), []
     for _ in range(depth):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (e[:-1] + e[1:])
         levels.append(mid)
-        lo = np.column_stack([lo, mid]).ravel()
-        hi = np.column_stack([mid, hi]).ravel()
+        ends = np.empty(2 * len(e) - 1)
+        ends[0::2], ends[1::2] = e, mid
+        e = ends
     return np.concatenate(levels)
 
 

@@ -248,8 +248,8 @@ def materialize_sites(config: ArrayConfig) -> list[SiteParams]:
         sigma = 0.5 * (np.tanh(prof.beta * (d - 0.5)) + 1.0)
         # effective rates are pinned at the end where each coupling peaks:
         # g1 peaks at site N, g2 at site 1
-        gamma_bar1 = prof.g_bar1 ** 2 / k1[-1]
-        gamma_bar2 = prof.g_bar2 ** 2 / k2[0]
+        gamma_bar1 = _peak_rate(prof, "g_bar1", k1[-1])
+        gamma_bar2 = _peak_rate(prof, "g_bar2", k2[0])
         g1 = np.sqrt(gamma_bar1 * sigma * k1)
         g2 = np.sqrt(gamma_bar2 * (1.0 - sigma) * k2)
     else:
@@ -262,6 +262,17 @@ def materialize_sites(config: ArrayConfig) -> list[SiteParams]:
                    kappa2=float(k2[i]), gamma=float(config.gamma))
         for i in range(n)
     ]
+
+
+def _peak_rate(prof: CouplingProfile, name: str, kappa) -> float:
+    """The tanh profile's effective rate ``g_bar ** 2 / kappa`` for its field
+    ``name``; a square that overflows names the field."""
+    g_bar = getattr(prof, name)
+    try:
+        return g_bar ** 2 / kappa
+    except OverflowError:  # a Python float squared
+        raise OverflowError(f"profile.{name} = {g_bar!r} is too large: "
+                            "its square overflows") from None
 
 
 def adiabaticity_margin(config: ArrayConfig) -> float:

@@ -6,7 +6,9 @@ The objective is the conversion FWHM of the sampled spectrum, with
 crossings interpolated between grid points, and each in-band ripple trough
 is held above a floor by an inequality constraint.  All are piecewise smooth
 in the rate fractions, and their exact gradients come from one adjoint sweep
-of the cascade, so each start is one gradient-based SLSQP solve.  A brute-force
+of the cascade, so each start is one gradient-based SLSQP solve.  The sweep
+runs only at the profiles where the solver asks for a gradient, since its
+line search needs values alone.  A brute-force
 grid oracle covers the small arrays, and profiles can be summarized by
 their best-fit tanh steepness.  scipy imports stay inside the functions
 that call them, since every CLI run would otherwise pay them at start-up
@@ -88,6 +90,12 @@ def _mirror_fractions(free: np.ndarray, n: int) -> np.ndarray:
     return prof
 
 
+def _clip(x: np.ndarray) -> np.ndarray:
+    """``np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)``, bit for bit, without
+    ``np.clip``'s dispatch overhead."""
+    return np.minimum(np.maximum(x, _FRAC_FLOOR), 1 - _FRAC_FLOOR)
+
+
 def _grid_for(problem: OptimizationProblem, widen: int = 0) -> FrequencyGrid:
     span = 4 * problem.gamma_total * (problem.n_sites + 2) * (2 ** widen)
     return FrequencyGrid(-span, span, 1201)
@@ -115,48 +123,58 @@ def _t21_gradient(fracs: np.ndarray, gamma_total: float, omega: np.ndarray) -> n
     [[-4, -2k], [-2k, 4]] / (2 - iu) with k = (1 - 2f) / sqrt(f(1 - f)).
     A forward sweep carries column 0 of the prefix products P_j = S_j ...
     S_1, an adjoint sweep row 1 of the suffix products Q_j = S_N ...
-    S_{j+1}, and dT21/df_j = (Q_j dS_j P_{j-1})_10.
+    S_{j+1}, and dT21/df_j = (Q_j dS_j P_{j-1})_10.  Both carry their two
+    entries as the two lanes of one array, so each site costs three ufunc
+    calls per sweep, with every product's operands in the order of the
+    entrywise formulas.
     """
     n = len(fracs)
     f = np.asarray(fracs, dtype=float)[:, None]
     iu = 1j * (omega / gamma_total)
     den = 2 - iu
-    s00, s11 = (2 - 4 * f - iu) / den, (4 * f - 2 - iu) / den
-    off = -4 * np.sqrt(f * (1 - f)) / den
-    cols = np.empty((2, n, len(omega)), dtype=complex)
-    rows = np.empty_like(cols)
-    ones, zeros = np.ones(len(omega), dtype=complex), np.zeros(len(omega), dtype=complex)
-    c0, c1 = ones, zeros  # column 0 of P_0 = I
-    r0, r1 = zeros, ones  # row 1 of Q_N = I
-    for j in range(n):
-        cols[:, j] = c0, c1
-        c0, c1 = s00[j] * c0 + off[j] * c1, off[j] * c0 + s11[j] * c1
-    for j in range(n - 1, -1, -1):
-        rows[:, j] = r0, r1
-        r0, r1 = r0 * s00[j] + r1 * off[j], r0 * off[j] + r1 * s11[j]
-    k = (1 - 2 * f) / np.sqrt(f * (1 - f))
-    return (-4 * (rows[0] * cols[0] - rows[1] * cols[1])
-            - 2 * k * (rows[0] * cols[1] + rows[1] * cols[0])) / den
+    root = np.sqrt(f * (1 - f))
+    # S_j is symmetric: s[j] is (s00, s01 = s10, s11), so a[j] = s[j, :2] is
+    # its column and row 0 and b[j] = s[j, 1:] its column and row 1.  It maps
+    # a column c to a[j] * c[0] + b[j] * c[1] and a row r to r[0] * a[j] +
+    # r[1] * b[j]
+    s = np.empty((n, 3, len(omega)), dtype=complex)
+    s[:, 0], s[:, 1], s[:, 2] = ((2 - 4 * f - iu) / den, -4 * root / den,
+                                 (4 * f - 2 - iu) / den)
+    a, b = s[:, :2], s[:, 1:]
+    cols = np.zeros((n, 2, len(omega)), dtype=complex)  # column 0 of P_{j-1}
+    rows = np.zeros_like(cols)  # row 1 of Q_j
+    cols[0, 0] = rows[-1, 1] = 1
+    for j in range(n - 1):
+        np.add(a[j] * cols[j, 0], b[j] * cols[j, 1], out=cols[j + 1])
+    for j in range(n - 1, 0, -1):
+        np.add(rows[j, 0] * a[j], rows[j, 1] * b[j], out=rows[j - 1])
+    r0, r1, c0, c1 = rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1]
+    k = (1 - 2 * f) / root
+    return (-4 * (r0 * c0 - r1 * c1) - 2 * k * (r0 * c1 + r1 * c0)) / den
 
 
 def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray):
-    """(fwhm, passband_min, d_fwhm, troughs, d_troughs) of the sampled spectrum.
+    """(fwhm, passband_min, troughs, derivatives) of the sampled spectrum.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
     goes through the bisection-refined extractor.  ``w`` is the points of
     ``_grid_for(problem)``.
 
-    ``d_fwhm`` is the FWHM's gradient in the rate fractions.  The troughs
-    are the N - 1 lowest local minima of the samples within the half-max
-    span, ascending (the first is passband_min), padded with the peak when
-    there are fewer, and row k of ``d_troughs`` is trough k's gradient.
-    The floor is the smallest trough, and the troughs are what an optimal
-    ramp holds at the floor together, so a constraint on each of them is
-    smooth where one on their minimum has a kink.  Each crossing is
-    differentiated through its interpolation formula, with the half level
-    as half the peak sample, so T21's derivatives are needed only at the
-    crossings' four samples, the peak and the troughs.
+    The troughs are the N - 1 lowest local minima of the samples within the
+    half-max span, ascending (the first is passband_min), padded with the
+    peak when there are fewer.  The floor is the smallest trough, and the
+    troughs are what an optimal ramp holds at the floor together, so a
+    constraint on each of them is smooth where one on their minimum has a
+    kink.
+
+    ``derivatives()`` returns (d_fwhm, d_troughs): the FWHM's gradient in
+    the rate fractions, and trough k's in row k.  They cost about as much
+    as the values again, and SLSQP's line search needs values alone, so
+    they are computed only on that call.  Each crossing is differentiated
+    through its interpolation formula, with the half level as half the peak
+    sample, so T21's derivatives are needed only at the crossings' four
+    samples, the peak and the troughs.
     """
     t21 = _t21(_sites_for(fracs, problem.gamma_total), w)
     v = np.abs(t21) ** 2
@@ -164,8 +182,8 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
-        return 0.0, 0.0, np.zeros(len(fracs)), np.zeros(n_troughs), np.zeros(
-            (n_troughs, len(fracs)))
+        return 0.0, 0.0, np.zeros(n_troughs), lambda: (
+            np.zeros(len(fracs)), np.zeros((n_troughs, len(fracs))))
     fwhm = float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0))
 
     # v[i0 - 1] and v[i1 + 1] lie below half, so neither end is a minimum
@@ -175,16 +193,19 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray
     i_peak = int(np.argmax(v))
     idx = np.concatenate([[i0 - 1, i0, i1, i1 + 1, i_peak], troughs,
                           np.full(n_troughs - len(troughs), i_peak)])
-    dv = 2 * (t21[idx].conjugate() * _t21_gradient(fracs, problem.gamma_total, w[idx])).real
-    dhalf = dv[:, 4] / 2
 
-    def dcross(ia, ib, col):
-        dva, dvb = dv[:, col], dv[:, col + 1]
-        run, rise = w[ib] - w[ia], v[ib] - v[ia]
-        return run * ((dhalf - dva) * rise - (half - v[ia]) * (dvb - dva)) / rise ** 2
+    def derivatives():
+        dv = 2 * (t21[idx].conjugate() * _t21_gradient(fracs, problem.gamma_total, w[idx])).real
+        dhalf = dv[:, 4] / 2
 
-    return (fwhm, pb_min, dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0),
-            v[idx[5:]], dv[:, 5:].T)
+        def dcross(ia, ib, col):
+            dva, dvb = dv[:, col], dv[:, col + 1]
+            run, rise = w[ib] - w[ia], v[ib] - v[ia]
+            return run * ((dhalf - dva) * rise - (half - v[ia]) * (dvb - dva)) / rise ** 2
+
+        return dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0), dv[:, 5:].T
+
+    return fwhm, pb_min, v[idx[5:]], derivatives
 
 
 def eliminated_bandwidth(gamma1_per_site: Sequence[float],
@@ -225,21 +246,26 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
 
     w = _grid_for(problem).points()
     m = len(start)
-    # surrogate values and gradients by clipped profile: SLSQP asks for the
-    # objective, the constraint and both gradients at the same point, and
-    # each profile is computed once per search
-    seen = {}
+    # the surrogate by clipped profile, computed once per search: SLSQP asks
+    # for the objective and the constraint at every trial point of its line
+    # search, and for their gradients at its iterates only
+    values, gradients = {}, {}
 
-    def metrics(x: np.ndarray):
-        xc = np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
+    def metrics(x: np.ndarray, gradient: bool = False):
+        """(fwhm, passband_min, troughs) at ``x``, or with ``gradient`` the
+        gradients (d_fwhm, d_troughs) in the free fractions."""
+        xc = _clip(x)
         key = xc.tobytes()
-        if key not in seen:
-            fwhm, pb, d_fwhm, troughs, d_troughs = _grid_metrics(
-                _mirror_fractions(xc, problem.n_sites), problem, w)
+        if key not in values:
+            values[key] = _grid_metrics(_mirror_fractions(xc, problem.n_sites), problem, w)
+        if not gradient:
+            return values[key]
+        if key not in gradients:
+            d_fwhm, d_troughs = values[key][3]()
             # the mirror sets f_{N-1-i} = 1 - x_i
-            seen[key] = (fwhm, pb, d_fwhm[:m] - d_fwhm[::-1][:m], troughs,
-                         d_troughs[:, :m] - d_troughs[:, ::-1][:, :m])
-        return seen[key]
+            gradients[key] = (d_fwhm[:m] - d_fwhm[::-1][:m],
+                              d_troughs[:, :m] - d_troughs[:, ::-1][:, :m])
+        return gradients[key]
 
     # the width in units of the budget, since SLSQP's ftol is absolute.  With
     # a constraint per trough the ramp starts converge in 13-45 iterations
@@ -248,25 +274,26 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
     scale = -1.0 / problem.gamma_total
     res = minimize(
         lambda x: scale * metrics(x)[0], start.astype(float),
-        jac=lambda x: scale * metrics(x)[2], method="SLSQP",
+        jac=lambda x: scale * metrics(x, gradient=True)[0], method="SLSQP",
         bounds=[(_FRAC_FLOOR, 1 - _FRAC_FLOOR)] * m,
         constraints=[{"type": "ineq",
-                      "fun": lambda x: metrics(x)[3] - problem.min_efficiency,
-                      "jac": lambda x: metrics(x)[4]}],
+                      "fun": lambda x: metrics(x)[2] - problem.min_efficiency,
+                      "jac": lambda x: metrics(x, gradient=True)[1]}],
         options={"ftol": 1e-12, "maxiter": 50})
-    x = np.clip(res.x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
+    x = _clip(res.x)
 
     # the solve can stop a hair below the ripple floor on this piecewise
     # smooth surrogate; Newton steps along the floor's gradient restore it
     for _ in range(12):
-        _, pb, _, _, d_troughs = metrics(x)
-        deficit = problem.min_efficiency - pb
-        grad = d_troughs[0]
-        norm2 = float(grad @ grad)
-        if deficit <= 0 or norm2 < 1e-12:
+        deficit = problem.min_efficiency - metrics(x)[1]
+        if deficit <= 0:
             break
-        x = np.clip(x + (1.2 * deficit / norm2) * grad, _FRAC_FLOOR, 1 - _FRAC_FLOOR)
-    return x, len(seen)
+        grad = metrics(x, gradient=True)[1][0]
+        norm2 = float(grad @ grad)
+        if norm2 < 1e-12:
+            break
+        x = _clip(x + (1.2 * deficit / norm2) * grad)
+    return x, len(values)
 
 
 def _finalize(fracs: np.ndarray, problem: OptimizationProblem,
@@ -293,7 +320,8 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
     From each of five ramp-shaped starting profiles and ``n_random_starts``
     random ones, one SLSQP solve maximizes the sampled-spectrum FWHM with
     every ripple trough held above the floor, all gradients exact (one
-    adjoint sweep of the cascade per profile); a few Newton steps along the floor's gradient then
+    adjoint sweep of the cascade at each profile where the solver asks for
+    a gradient); a few Newton steps along the floor's gradient then
     lift an endpoint that stopped just below the floor.  Each endpoint is
     refined by bisection, and the best feasible one is reported.  The starts
     run one after another; ``workers`` must be 1.

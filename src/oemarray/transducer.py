@@ -200,7 +200,7 @@ def scattering_resonant(c1_tilde: float, c2_tilde: float) -> np.ndarray:
     ])
 
 
-def scattering_eliminated(site: EliminatedSite, omega, *,
+def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
                           _entries=False) -> np.ndarray:
     """Scattering matrix after adiabatic elimination of the cavities.
 
@@ -210,12 +210,15 @@ def scattering_eliminated(site: EliminatedSite, omega, *,
     ``scattering_full`` for frequencies well inside the cavity linewidth.
 
     Entries are homogeneous of degree 0 in (gamma1, gamma2, omega), so rates
-    below 2**-500 are lifted there, with omega, by a power of two: this
-    keeps gamma1*gamma2 and the denominator normal.  Lifted |omega| is
-    clipped to 2**600, where the response is already the identity.
+    below 2**-500 or above 2**500 are scaled there, with omega, by a power
+    of two that takes the larger rate to about 2**-500: this keeps
+    gamma1*gamma2 and the denominator normal and finite.  Lifted up, |omega|
+    is clipped to 2**600, where the response is already the identity.
 
-    ``_entries`` is private, as in ``scattering_full``: the entries, which
-    ``cascade._site_matrices`` folds, in place of the matrix.
+    ``_iw`` and ``_entries`` are private, as ``scattering_full``'s keywords:
+    ``_iw`` is ``1j * omega``, which ``cascade._site_matrices`` computes once
+    for all its sites (the bits are the same without it), and ``_entries``
+    returns the entries, which it folds, in place of the matrix.
     """
     w = np.asarray(omega, dtype=float)
     G1, G2 = site.gamma1, site.gamma2
@@ -223,12 +226,15 @@ def scattering_eliminated(site: EliminatedSite, omega, *,
         raise SingularMatrixError(
             "uncoupled eliminated site has no response at zero frequency")
     top = max(G1, G2)
-    if 0 < top < 2.0 ** -500:
+    if 0 < top < 2.0 ** -500 or top > 2.0 ** 500:
         lift = -500 - np.frexp(top)[1]
         G1, G2 = np.ldexp(G1, lift), np.ldexp(G2, lift)
-        w = np.ldexp(np.clip(w, -2.0 ** (600 - lift), 2.0 ** (600 - lift)), lift)
+        if lift > 0:
+            w = np.clip(w, -2.0 ** (600 - lift), 2.0 ** (600 - lift))
+        w = np.ldexp(w, lift)
+        _iw = None
 
-    iw = 1j * w
+    iw = 1j * w if _iw is None else _iw
     den = 2 * (G1 + G2) - iw
     off = -4 * math.sqrt(G1 * G2) / den
     s = ((-2 * (G1 - G2) - iw) / den, off, off, (2 * (G1 - G2) - iw) / den)

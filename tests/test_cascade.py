@@ -354,6 +354,22 @@ class TestBatchedBisection:
             assert bw.omega_hi == hi
             assert bw.fwhm == hi - lo
 
+    @pytest.mark.parametrize("depth", range(1, 8))
+    def test_midpoint_tree_matches_level_loop(self, depth):
+        # level by level, as the scalar loop forms them: each bracket [lo, hi]
+        # of a level gives its midpoint and the two halves of the next level
+        a, b = 0.1, 0.3
+        tol = 1.5 * (b - a) / 2 ** depth  # depth halvings bring b - a below it
+        brackets, expected = [(a, b)], []
+        for _ in range(depth):
+            mids = [0.5 * (lo + hi) for lo, hi in brackets]
+            expected += mids
+            brackets = [half for (lo, hi), m in zip(brackets, mids)
+                        for half in ((lo, m), (m, hi))]
+        tree = cascade._midpoints(a, b, tol)
+        assert len(tree) == 2 ** depth - 1
+        assert tree.tolist() == expected
+
     def test_midpoint_on_exact_root(self):
         # |T|^2 is 0, 1/4 and 1 below, at and above r: the ninth midpoint of
         # [0, 1] hits the root exactly, in the second round

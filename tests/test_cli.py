@@ -155,7 +155,9 @@ class TestExitCodes:
         rc = main(["spectrum", "--n", "3", "--g", "1e200", "--kappa1", "1e200",
                    "--kappa2", "1e200", "--out", str(tmp_path / "x")])
         assert rc == 3
-        assert "numerical" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical" in err
+        assert "g_bar" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["noise", "loss", "backscatter", "stokes"])

@@ -14,11 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oemarray import (
     BogoliubovSite,
+    EliminatedSite,
     LossySite,
     SingularMatrixError,
     SiteParams,
     noise_coupling_vector,
     scattering_bogoliubov,
+    scattering_eliminated,
     scattering_full,
     scattering_two_sided,
 )
@@ -151,7 +153,10 @@ def test_bogoliubov_matches_solve(site, omega_m, w):
     ("full", 2.0 ** -360), ("vector", 2.0 ** -360), ("two-sided", 2.0 ** -360),
     ("bogoliubov", 2.0 ** -360), ("bogoliubov", 2.0 ** -1000),
     ("full", 1e120), ("vector", 1e120), ("two-sided", 1e120),
-    ("full", 1e200), ("vector", 1e200), ("two-sided", 1e200)])
+    ("full", 1e200), ("vector", 1e200), ("two-sided", 1e200),
+    ("full", 1e300), ("vector", 1e300), ("two-sided", 1e300),
+    ("bogoliubov", 1e160), ("bogoliubov", 1e300),
+    ("eliminated", 2.0 ** -1000), ("eliminated", 1e160), ("eliminated", 1e300)])
 @pytest.mark.filterwarnings(
     # the first, unlifted evaluation overflows at 1e120 and 1e200 by design
     "ignore:overflow encountered:RuntimeWarning",
@@ -162,7 +167,8 @@ def test_kernels_are_scale_free(kernel, scale):
     # underflow unless they are lifted, and the Bogoliubov kernel's, of
     # degree 1, stays normal down to 2**-1000.  At 1e120 the cubic terms
     # overflow, and at 1e200 so does the square of a Python float rate,
-    # unless they are lifted down.
+    # unless they are lifted down.  The eliminated kernel's gamma1*gamma2
+    # underflows at 2**-1000 and overflows at 1e160 unless it is lifted.
     def response(scale):
         site = SiteParams(scale, 2 * scale, scale, 3 * scale, scale)
         w = scale * np.array([0.0, 1.0])
@@ -170,6 +176,8 @@ def test_kernels_are_scale_free(kernel, scale):
             return scattering_full(site, w)
         if kernel == "vector":
             return noise_coupling_vector([site], 1, w)
+        if kernel == "eliminated":
+            return scattering_eliminated(EliminatedSite(scale, 2 * scale), w)
         if kernel == "two-sided":
             lossy = LossySite(site=site, kappa_l1=scale, kappa_int2=2 * scale)
             return scattering_two_sided(lossy, w).matrix

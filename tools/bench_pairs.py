@@ -38,7 +38,12 @@ The output records, per workload and side, every pair's metrics,
 ``failed_ratio`` and ``calibration_ms`` (perfbench's calibration kernel, ms
 before and after the run's jobs); per metric, the median and quartiles of
 each side, how many pairs the change won, the parent's quartile distance,
-and whether the change's median moved by more than that distance.  It also records
+and whether the change's median moved by more than that distance.  Each
+end-to-end metric is also judged by the no-regression rule against its
+``bound``: each side's quartile distance relative to its median, whether the
+change's median is within the bound, and ``unresolved`` where the parent's
+relative spread exceeds the bound and the change did not win every pair;
+the printed summary gives the verdict.  It also records
 ``nproc``, the Python, numpy and scipy versions, each side's ``src/`` line
 count (the lines of ``src/**/*.py``) and each side's CLI option count (the
 option strings of its ``oemarray.cli.build_parser()``, top level and every
@@ -275,6 +280,17 @@ def _quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the change won,
+    the parent's quartile distance and whether the median gain exceeds it.
+
+    A metric with a ``bound`` (an end-to-end metric of ``BENCHMARK.json``) is
+    also judged by the no-regression rule: each side's quartile distance
+    relative to its own median, whether the change's median is within the
+    bound of the parent's (worse by at most that fraction), and whether the
+    runs are too spread to tell: ``unresolved`` when the parent's relative
+    quartile distance exceeds the bound and the change did not win every
+    pair.
+    """
     summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -284,7 +300,7 @@ def summarize(pairs: list, metrics: list) -> dict:
                   for p, c in zip(sides["parent"], sides["change"]))
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         gain = stats["parent"]["median"] - stats["change"]["median"]
-        summary[name] = {
+        entry = summary[name] = {
             **stats,
             "better": metric["better"],
             "change_better_pairs": won,
@@ -295,7 +311,31 @@ def summarize(pairs: list, metrics: list) -> dict:
             "parent_iqr": iqr,
             "median_gain_exceeds_parent_iqr": (gain if lower else -gain) > iqr,
         }
+        if "bound" in metric:
+            bound, parent = metric["bound"], stats["parent"]["median"]
+            relative = {side: (st["q3"] - st["q1"]) / abs(st["median"])
+                        if st["median"] else None for side, st in stats.items()}
+            limit = parent * (1 + bound) if lower else parent * (1 - bound)
+            change = stats["change"]["median"]
+            entry.update({
+                "bound": bound,
+                "relative_iqr": relative,
+                "within_bound": change <= limit if lower else change >= limit,
+                "unresolved": (relative["parent"] is None or relative["parent"] > bound)
+                              and won < len(pairs),
+            })
     return summary
+
+
+def _verdict(s: dict) -> str:
+    """The no-regression rule's reading of a summarized metric with a bound."""
+    if "bound" not in s:
+        return ""
+    verdict = ("unresolved" if s["unresolved"] else
+               "within bound" if s["within_bound"] else "WORSE than bound")
+    spread = ", ".join(f"{side} {'n/a' if r is None else format(r, '.3g')}"
+                       for side, r in s["relative_iqr"].items())
+    return f"  bound {s['bound']:g}: {verdict} (relative iqr {spread})"
 
 
 def _print_summary(label: str, summary: dict) -> None:
@@ -306,7 +346,7 @@ def _print_summary(label: str, summary: dict) -> None:
             continue
         print(f"{label:9s} {name:12s} parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g}  won {s['change_better_pairs']}/"
-              f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}")
+              f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}" + _verdict(s))
 
 
 def main(argv=None) -> int:
