@@ -193,19 +193,22 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray
     i_peak = int(np.argmax(v))
     idx = np.concatenate([[i0 - 1, i0, i1, i1 + 1, i_peak], troughs,
                           np.full(n_troughs - len(troughs), i_peak)])
+    # the samples the derivatives need, so that a search's memo does not
+    # hold on to the whole spectrum of every profile
+    t_at, v_at, w_at = t21[idx], v[idx], w[idx]
 
     def derivatives():
-        dv = 2 * (t21[idx].conjugate() * _t21_gradient(fracs, problem.gamma_total, w[idx])).real
+        dv = 2 * (t_at.conjugate() * _t21_gradient(fracs, problem.gamma_total, w_at)).real
         dhalf = dv[:, 4] / 2
 
-        def dcross(ia, ib, col):
+        def dcross(col):  # the crossing between samples col and col + 1
             dva, dvb = dv[:, col], dv[:, col + 1]
-            run, rise = w[ib] - w[ia], v[ib] - v[ia]
-            return run * ((dhalf - dva) * rise - (half - v[ia]) * (dvb - dva)) / rise ** 2
+            run, rise = w_at[col + 1] - w_at[col], v_at[col + 1] - v_at[col]
+            return run * ((dhalf - dva) * rise - (half - v_at[col]) * (dvb - dva)) / rise ** 2
 
-        return dcross(i1, i1 + 1, 2) - dcross(i0 - 1, i0, 0), dv[:, 5:].T
+        return dcross(2) - dcross(0), dv[:, 5:].T
 
-    return fwhm, pb_min, v[idx[5:]], derivatives
+    return fwhm, pb_min, v_at[5:], derivatives
 
 
 def eliminated_bandwidth(gamma1_per_site: Sequence[float],
