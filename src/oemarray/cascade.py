@@ -222,8 +222,8 @@ def _halfmax(v: np.ndarray):
 
     Returns ``(peak, half, i_first, i_last, passband_min)``: the global
     maximum, half of it, the first and last grid indices at or above half,
-    and the smallest value between the outermost local maxima above half
-    (the peak itself when there is none).  Raises SpectrumError when the
+    and the smallest value between the outermost local maxima above half.
+    Raises SpectrumError when the
     samples are not finite, have no positive maximum, or reach half-max on
     the grid edge.
     """
@@ -242,12 +242,10 @@ def _halfmax(v: np.ndarray):
         raise SpectrumError("no half-max crossing inside grid")
 
     mid = v[1:-1]
+    # past the edge check the global maximum is an inner local maximum, so
+    # ``peaks`` is never empty
     peaks = np.flatnonzero((mid >= v[:-2]) & (mid >= v[2:]) & above[1:-1]) + 1
-    if len(peaks) == 0:
-        passband_min = peak
-    else:
-        passband_min = float(v[peaks[0]:peaks[-1] + 1].min())
-    return peak, half, i_first, i_last, passband_min
+    return peak, half, i_first, i_last, float(v[peaks[0]:peaks[-1] + 1].min())
 
 
 _TREE_DEPTH = 7

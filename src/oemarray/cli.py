@@ -1,19 +1,20 @@
 """Command-line runs: every computation as a reproducible file-producing job.
 
 `main` is the run harness: it reads the optional JSON config, runs one
-subcommand, writes exactly one run manifest, and reports through exit codes:
-0 ok, 2 config problem, 3 numerical failure, 4 infeasible optimization.
-Subcommands apply flag overrides, compute, and write only their data files.
+subcommand, writes its data files and exactly one run manifest, and reports
+through exit codes: 0 ok, 2 config problem, 3 numerical failure, 4 infeasible
+optimization.  Subcommands apply flag overrides and compute; they write
+nothing, so a run that fails while computing leaves no file.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import time
 from dataclasses import replace
+from functools import cache, partial
 
 from . import __version__
 from .cascade import (
@@ -149,18 +150,20 @@ def _grid_dict(grid: FrequencyGrid) -> dict:
             "points": grid.n_points}
 
 
-def _as_floats(values, name: str) -> list:
-    """A config-file list of numbers, each through ``_as_float``."""
+def _pick_floats(args, attr: str, doc: dict, default: list) -> list:
+    """Flag ``--attr``'s comma-separated numbers if given, else config-file
+    list ``attr`` (each entry through ``_as_float``), else ``default``."""
+    text = getattr(args, attr)
+    if text is not None:
+        try:
+            return [float(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise ConfigError(f"--{attr} must be a comma-separated list of numbers: "
+                              f"{text!r}") from exc
+    values = doc.get(attr, default)
     if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list of numbers")
-    return [_as_float(v, f"{name}[{i}]") for i, v in enumerate(values)]
-
-
-def _parse_floats(text: str, what: str) -> list:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a comma-separated list of numbers: {text!r}") from exc
+        raise ConfigError(f"{attr} must be a list of numbers")
+    return [_as_float(v, f"{attr}[{i}]") for i, v in enumerate(values)]
 
 
 def _write_manifest(out: str, command: str, config: dict, outputs: list,
@@ -172,25 +175,24 @@ def _write_manifest(out: str, command: str, config: dict, outputs: list,
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "duration_seconds": round(time.perf_counter() - started, 6),
-        "outputs": [str(p) for p in outputs],
+        "outputs": outputs,
     }
     _write_json(path, doc)
     return path
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the manifest's config and an ordered map from
+# output-path suffix to a writer of its computed data (``writer(path)``)
 
 def cmd_spectrum(args, doc: dict):
     config = _resolve_array_config(args, doc)
     grid = _resolve_grid(args, doc, default_half_width=2.0, default_points=2001)
     sp = conversion_spectrum(config, grid)
     bw = extract_bandwidth(sp)
-    csv_path = f"{args.out}.csv"
-    json_path = f"{args.out}_bandwidth.json"
-    spectrum_to_csv(sp, csv_path)
-    bandwidth_to_json(bw, json_path)
-    return {"array": config_to_dict(config), "grid": _grid_dict(grid)}, [csv_path, json_path]
+    return ({"array": config_to_dict(config), "grid": _grid_dict(grid)},
+            {".csv": partial(spectrum_to_csv, sp),
+             "_bandwidth.json": partial(bandwidth_to_json, bw)})
 
 
 def cmd_bandwidth_scan(args, doc: dict):
@@ -224,20 +226,18 @@ def cmd_bandwidth_scan(args, doc: dict):
     header = "n,fwhm_numeric,fwhm_eq4,fwhm_linear_fit"
     if asymmetric:
         header += ",fwhm_asymmetric"
-    csv_path = f"{args.out}.csv"
-    # rows stream to the file as each size finishes
-    _write_csv(csv_path, header, (row(n) for n in range(n_lo, n_hi + 1)))
+    rows = [row(n) for n in range(n_lo, n_hi + 1)]
     return ({"array": config_to_dict(base), "grid": _grid_dict(grid),
-             "n_min": n_lo, "n_max": n_hi, "asymmetric": asymmetric}, [csv_path])
+             "n_min": n_lo, "n_max": n_hi, "asymmetric": asymmetric},
+            {".csv": partial(_write_csv, header=header, rows=rows)})
 
 
 def cmd_noise(args, doc: dict):
     config = _resolve_array_config(args, doc)
     grid = _resolve_grid(args, doc, default_half_width=2.0, default_points=2001)
     sp = added_noise_spectrum(config, grid)
-    csv_path = f"{args.out}.csv"
-    noise_to_csv(sp, csv_path)
-    return {"array": config_to_dict(config), "grid": _grid_dict(grid)}, [csv_path]
+    return ({"array": config_to_dict(config), "grid": _grid_dict(grid)},
+            {".csv": partial(noise_to_csv, sp)})
 
 
 def cmd_stokes(args, doc: dict):
@@ -248,45 +248,30 @@ def cmd_stokes(args, doc: dict):
     grid = _resolve_grid(args, doc, default_half_width=1.5, default_points=2001,
                          center=omega_m)
     sp = stokes_noise_spectrum(config, omega_m, grid)
-    csv_path = f"{args.out}.csv"
-    stokes_to_csv(sp, csv_path)
     return ({"array": config_to_dict(config), "grid": _grid_dict(grid),
-             "omega_m": omega_m}, [csv_path])
+             "omega_m": omega_m}, {".csv": partial(stokes_to_csv, sp)})
 
 
 def cmd_loss(args, doc: dict):
     config = _resolve_array_config(args, doc)
     param = _pick(args, "param", doc, "param", "kappa_int")
-    if args.values is not None:
-        values = _parse_floats(args.values, "--values")
-    else:
-        values = _as_floats(doc.get("values", [0.0, 0.005, 0.01, 0.02, 0.05]), "values")
+    values = _pick_floats(args, "values", doc, [0.0, 0.005, 0.01, 0.02, 0.05])
     rows = efficiency_vs_loss(param, values, materialize_sites(config))
-    csv_path = f"{args.out}.csv"
-    sweep_to_csv(rows, csv_path)
-    return ({"array": config_to_dict(config), "param": param,
-             "values": values}, [csv_path])
+    return ({"array": config_to_dict(config), "param": param, "values": values},
+            {".csv": partial(sweep_to_csv, rows)})
 
 
 def cmd_backscatter(args, doc: dict):
     config = _resolve_array_config(args, doc)
-    if args.ratios is not None:
-        ratios = _parse_floats(args.ratios, "--ratios")
-    else:
-        ratios = _as_floats(doc.get("ratios", [0.02, 0.05, 0.1, 0.15, 0.2]), "ratios")
+    ratios = _pick_floats(args, "ratios", doc, [0.02, 0.05, 0.1, 0.15, 0.2])
     zeta = _as_float(_pick(args, "zeta", doc, "zeta", 0.0), "zeta")
     fit_alpha = _as_bool(_pick(args, "fit_alpha", doc, "fit_alpha", False), "fit_alpha")
     table = backscatter_efficiency_table(ratios, materialize_sites(config), zeta=zeta)
-    csv_path = f"{args.out}.csv"
-    sweep_to_csv(table, csv_path)
-    outputs = [csv_path]
+    writers = {".csv": partial(sweep_to_csv, table)}
     if fit_alpha:
-        fit = backscatter_alpha_fit(table)
-        alpha_path = f"{args.out}_alpha.json"
-        alpha_fit_to_json(fit, alpha_path)
-        outputs.append(alpha_path)
+        writers["_alpha.json"] = partial(alpha_fit_to_json, backscatter_alpha_fit(table))
     return ({"array": config_to_dict(config), "ratios": ratios,
-             "zeta": zeta, "fit_alpha": fit_alpha}, outputs)
+             "zeta": zeta, "fit_alpha": fit_alpha}, writers)
 
 
 def cmd_optimize(args, doc: dict):
@@ -301,16 +286,15 @@ def cmd_optimize(args, doc: dict):
     problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
                                   min_efficiency=min_eff)
     result = optimize_couplings(problem, n_random_starts=starts, seed=seed)
-    json_path = f"{args.out}.json"
-    result_to_json(problem, result, json_path)
     config = {"problem": {"n_sites": n, "gamma_total": gamma_total,
                           "min_efficiency": min_eff},
               "seed": seed, "starts": starts}
+    writers = {".json": partial(result_to_json, problem, result)}
     if not result.converged:
         print(f"optimization infeasible: passband floor {result.passband_min:.6g} "
               f"< required {min_eff:.6g}", file=sys.stderr)
-        return config, [json_path], 4
-    return config, [json_path]
+        return config, writers, 4
+    return config, writers
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +393,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
+@cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser ``main`` uses, built on its first call, not at import."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    """The run harness.  ``cmd_x(args, doc)`` returns the manifest's ``(config,
-    outputs)``, plus an exit code when that is not 0; runs that exit 2 or 3
-    write no manifest.  An ``--out`` path that cannot be written exits 2."""
+    """The run harness.  ``cmd_x(args, doc)`` returns the manifest's config and
+    its writers by output suffix, plus an exit code when that is not 0; then
+    each writer gets ``f"{args.out}{suffix}"``, in order, and the manifest
+    follows.  So runs that exit 2 or 3 while computing write no file; an
+    ``--out`` path that cannot be written exits 2."""
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         doc = _read_doc(args.config) if args.config else {}
-        config, outputs, *code = args.func(args, doc)
+        config, writers, *code = args.func(args, doc)
+        outputs = [f"{args.out}{suffix}" for suffix in writers]
+        for path, write in zip(outputs, writers.values()):
+            write(path)
         _write_manifest(args.out, args.command, config, outputs, started)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -213,8 +214,9 @@ class FrequencyGrid:
     def __post_init__(self) -> None:
         if not -math.inf < self.omega_min < self.omega_max < math.inf:
             raise ValueError("omega_min must be < omega_max, both finite")
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
+        # a float count (2.5, NaN, even 3.0) would fail only in points()
+        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 2:
+            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)

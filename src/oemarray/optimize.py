@@ -19,6 +19,7 @@ about 0.5 s).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -55,8 +56,8 @@ class OptimizationProblem:
     min_efficiency: float = 0.99
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
+        if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 1:
+            raise ValueError(f"n_sites must be a positive integer, got {self.n_sites!r}")
         if not 0 < self.gamma_total < math.inf:
             raise ValueError("gamma_total must be finite and > 0")
         if not 0 < self.min_efficiency <= 1:
@@ -412,6 +413,9 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     n = len(prof)
     if n < 3:
         raise ValueError("need at least 3 sites to fit a ramp shape")
+    # NaN fails every comparison, so it would pass the monotonicity check
+    if not (np.all(np.isfinite(prof)) and 0 < gamma_total < math.inf):
+        raise ValueError("gamma1_per_site and gamma_total must be finite, gamma_total > 0")
     if np.any(np.diff(prof) < -1e-12 * gamma_total):
         raise ValueError("profile must be monotone nondecreasing")
     y = np.concatenate([[0.0], prof, [gamma_total]])

@@ -10,7 +10,7 @@ import pytest
 
 import oemarray
 import oemarray.cli as cli
-from oemarray import ConfigError, load_config
+from oemarray import ConfigError, adiabaticity_margin, config_from_dict, load_config
 from oemarray.cli import main
 from oemarray.optimize import OptimizationResult
 
@@ -28,6 +28,12 @@ def read_rows(path):
 
 # a JSON integer literal that float() cannot convert
 HUGE_INT = "1" + "0" * 400
+
+EXPLICIT3 = {
+    "schema_version": "1",
+    "n_sites": 3,
+    "profile": {"kind": "explicit", "pairs": [[0.1, 0.05], [0.08, 0.08], [0.05, 0.1]]},
+}
 
 FIG2 = {
     "schema_version": "1",
@@ -195,6 +201,21 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,config,message", [
+        (["spectrum", "--profile", "linear", "--beta", "3"], None,
+         "--beta applies only to the tanh profile"),
+        (["spectrum", "--g", "0.1"], EXPLICIT3,
+         "--g cannot override an explicit coupling profile"),
+        (["loss", "--values", "a,b"], None,
+         "--values must be a comma-separated list of numbers: 'a,b'"),
+    ], ids=["beta-on-linear", "g-on-explicit", "values-not-numbers"])
+    def test_rejected_flags_exit_two(self, tmp_path, capsys, argv, config, message):
+        files = [] if config is None else [write_config(tmp_path, config)]
+        config_flags = ["--config", files[0]] if files else []
+        assert main([*argv, *config_flags, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [str(p) for p in tmp_path.iterdir()] == files
+
     def test_infeasible_optimization_exits_four(self, tmp_path, monkeypatch, capsys):
         stuck = OptimizationResult(gamma1_per_site=(0.01, 0.04), bandwidth=0.1,
                                    passband_min=0.9, converged=False,
@@ -358,6 +379,33 @@ def test_every_subcommand_writes_one_matching_manifest(tmp_path, command):
     assert set(doc["config"]) == config_keys
 
 
+# flags that no other run sets, as the manifest records them
+@pytest.mark.parametrize("argv,section,expected", [
+    (["--n", "3", "--beta", "3"], ("array", "profile"),
+     {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 3.0}),
+    (["--n", "3", "--omega-min", "-1", "--omega-max", "2"], ("grid",),
+     {"omega_min": -1.0, "omega_max": 2.0, "points": 101}),
+], ids=["beta", "omega_min"])
+def test_manifest_echoes_the_resolved_config(tmp_path, argv, section, expected):
+    out = str(tmp_path / "run")
+    assert main(["spectrum", *argv, "--points", "101", "--out", out]) == 0
+    recorded = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
+    for key in section:
+        recorded = recorded[key]
+    assert recorded == expected
+
+
+def test_explicit_config_round_trips_through_the_manifest(tmp_path):
+    path = write_config(tmp_path, EXPLICIT3)
+    assert main(["spectrum", "--config", path, "--points", "101",
+                 "--out", str(tmp_path / "ex")]) == 0
+    recorded = json.loads((tmp_path / "ex_manifest.json").read_text())["config"]["array"]
+    assert recorded["profile"] == EXPLICIT3["profile"]
+    # the peak coupling of each lane, 0.1, at unit linewidths
+    assert adiabaticity_margin(config_from_dict(recorded)) == pytest.approx(
+        0.1 * 3 ** 0.5, rel=1e-15)
+
+
 class TestBandwidthScan:
     def test_comparison_table_columns(self, tmp_path):
         out = str(tmp_path / "scan")
@@ -473,6 +521,26 @@ class TestBackscatter:
                    "--fit-alpha", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "linear regime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratios,message", [
+        ("0.05,0.1,0.15,0.3", "ratios beyond 0.2 leave the linear regime"),
+        ("0.05,0.1,0.15", "need at least 4 sweep points for the slope fit"),
+    ], ids=["ratio-above-0.2", "three-ratios"])
+    def test_failed_fit_writes_no_table(self, tmp_path, capsys, ratios, message):
+        # the fit runs before any file is written, so the table is not left behind
+        rc = main(["backscatter", "--n", "3", "--ratios", ratios, "--fit-alpha",
+                   "--out", str(tmp_path / "bs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_envelope_loss_sweep_matches_the_backscatter_table(self, tmp_path):
+        # `loss --param kappa_l` reports the envelope that `backscatter` does
+        assert main(["loss", "--param", "kappa_l", "--values", "0.05,0.1",
+                     "--out", str(tmp_path / "loss")]) == 0
+        assert main(["backscatter", "--ratios", "0.05,0.1",
+                     "--out", str(tmp_path / "bs")]) == 0
+        assert (tmp_path / "loss.csv").read_bytes() == (tmp_path / "bs.csv").read_bytes()
 
 
 class TestOptimize:

@@ -109,6 +109,9 @@ def test_invalid_configs_rejected():
         FrequencyGrid(1.0, -1.0, 100)
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 1.0, 1)
+    for n_points in (2.5, math.nan, 3.0):
+        with pytest.raises(ValueError, match="n_points must be an integer"):
+            FrequencyGrid(0.0, 1.0, n_points)
 
 
 @pytest.mark.parametrize("build", [

@@ -1,5 +1,7 @@
 """Tests for constrained bandwidth optimization and tanh-profile fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ class TestProblemValidation:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             OptimizationProblem(n_sites=2, gamma_total=0.0)
+
+    @pytest.mark.parametrize("n_sites", [2.5, math.nan, 2.0])
+    def test_rejects_fractional_site_count(self, n_sites):
+        # optimize_couplings would fail later, in numpy, without naming it
+        with pytest.raises(ValueError, match="n_sites must be a positive integer"):
+            OptimizationProblem(n_sites=n_sites, gamma_total=0.05)
 
     def test_rejects_bad_efficiency_floor(self):
         with pytest.raises(ValueError):
@@ -360,6 +368,16 @@ class TestTanhFit:
     def test_rejects_non_monotone_profiles(self):
         with pytest.raises(ValueError, match="monotone"):
             fit_tanh_beta([0.01, 0.004, 0.016], GAMMA)
+
+    @pytest.mark.parametrize("prof,total", [
+        ([math.nan, 0.5, 1.0], 1.0),
+        ([0.1, 0.5, math.inf], 1.0),
+        ([0.1, 0.5, 0.9], math.nan),
+    ])
+    def test_rejects_non_finite_input(self, prof, total):
+        # NaN passes the monotonicity check, and the fit then returns a number
+        with pytest.raises(ValueError, match="finite"):
+            fit_tanh_beta(prof, total)
 
     def test_optimized_profile_steepens_with_the_floor(self, constraint_sweep):
         betas = [fit_tanh_beta(r.gamma1_per_site, GAMMA)

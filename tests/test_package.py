@@ -39,10 +39,31 @@ def _readme_commands() -> list:
     return [line.removeprefix("oemarray ") for line in block.splitlines()]
 
 
-def test_readme_command_list_matches_the_comparison_tool():
-    # tools/readme_outputs.py times and compares exactly the README's commands
+def _readme_tool():
     spec = importlib.util.spec_from_file_location(
         "readme_outputs", os.path.join(ROOT, "tools", "readme_outputs.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert _readme_commands() == tool.COMMANDS
+    return tool
+
+
+def test_readme_command_list_matches_the_comparison_tool():
+    # tools/readme_outputs.py times and compares exactly the README's commands
+    assert _readme_commands() == _readme_tool().COMMANDS
+
+
+def test_comparison_reports_files_missing_from_either_side(tmp_path, capsys):
+    compare = _readme_tool().compare
+    mine, other = tmp_path / "mine", tmp_path / "other"
+    for d in (mine, other):
+        d.mkdir()
+        (d / "x.csv").write_text("omega\n1\n")
+    assert compare(str(mine), str(other))
+    assert capsys.readouterr().out == "x.csv: identical\n"
+    # a file that only the other directory holds fails the comparison ...
+    (other / "x_bandwidth.json").write_text("{}\n")
+    assert not compare(str(mine), str(other))
+    assert f"x_bandwidth.json: missing in {mine}\n" in capsys.readouterr().out
+    # ... as one that only this directory holds always did
+    assert not compare(str(other), str(mine))
+    assert f"x_bandwidth.json: missing in {mine}\n" in capsys.readouterr().out

@@ -8,10 +8,12 @@ the working directory and the package imported from SRC (default: this
 checkout's ``src``).  With ``--compare``, every data file in OUTDIR is
 checked against the file of the same name in OTHERDIR and reported as
 "identical" or by the largest relative difference between corresponding
-numbers.  Each run manifest is compared with ``duration_seconds`` removed,
-since that is the only field that carries a timing, and reported as
-identical or by the top-level keys that differ.  Exits 1 when a command
-fails or a compared file differs.  Standard library only.
+numbers; a data file or manifest that only one of the two directories holds
+is reported as missing from the other.  Each run manifest is compared with
+``duration_seconds`` removed, since that is the only field that carries a
+timing, and reported as identical or by the top-level keys that differ.
+Exits 1 when a command fails or a compared file differs or is missing.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -114,12 +116,16 @@ def _untimed_manifest(path: str) -> dict:
 
 
 def compare(outdir: str, otherdir: str) -> bool:
+    """Report each CSV/JSON file of either directory against the other's;
+    True when every file is in both and all compare equal."""
     ok = True
-    names = sorted(n for n in os.listdir(outdir) if n.endswith((".csv", ".json")))
-    for name in names:
+    names = {d: {n for n in os.listdir(d) if n.endswith((".csv", ".json"))}
+             for d in (outdir, otherdir)}
+    for name in sorted(names[outdir] | names[otherdir]):
         mine, theirs = os.path.join(outdir, name), os.path.join(otherdir, name)
-        if not os.path.isfile(theirs):
-            print(f"{name}: missing in {otherdir}")
+        missing = [d for d in (outdir, otherdir) if name not in names[d]]
+        if missing:
+            print(f"{name}: missing in {missing[0]}")
             ok = False
             continue
         if name.endswith("_manifest.json"):
