@@ -223,9 +223,8 @@ def _halfmax(v: np.ndarray):
     Returns ``(peak, half, i_first, i_last, passband_min)``: the global
     maximum, half of it, the first and last grid indices at or above half,
     and the smallest value between the outermost local maxima above half.
-    Raises SpectrumError when the
-    samples are not finite, have no positive maximum, or reach half-max on
-    the grid edge.
+    Raises SpectrumError when the samples are not finite, have no positive
+    maximum, or reach half-max on the grid edge.
     """
     peak = float(v.max())
     # v >= 0 and max propagates NaN, so the peak alone tells finiteness
