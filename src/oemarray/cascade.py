@@ -40,8 +40,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _write_csv,
-                   _write_json, materialize_sites)
+from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _count, _number,
+                   _write_csv, _write_json, materialize_sites)
 from .transducer import (
     EliminatedSite,
     _omega_factors,
@@ -83,6 +83,11 @@ class Spectrum:
     grid: FrequencyGrid
     t21: np.ndarray
     evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self) -> None:
+        if np.shape(self.t21) != (self.grid.n_points,):
+            raise ValueError(f"t21 has shape {np.shape(self.t21)}, but the grid "
+                             f"has {self.grid.n_points} points")
 
 
 @dataclass(frozen=True)
@@ -343,8 +348,9 @@ def bandwidth_analytic(g: float, kappa: float, n_sites: int) -> float:
     Grows with the cube root of g^2 * kappa * N, so doubling the
     bandwidth costs an eightfold longer array.
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
+    _number("g", g, ge=0)
+    _number("kappa", kappa, gt=0)
+    _count("n_sites", n_sites)
     return float(np.cbrt(4 * np.sqrt(2) / 3 * g * g * kappa * n_sites))
 
 
@@ -360,9 +366,9 @@ def halfmax_roots_analytic(g: float, kappa: float, n_sites: int):
     leading relative gap 3^(1/3) kappa^2 / (12*sqrt(2) g^2 kappa N)^(2/3),
     i.e. as N^(-2/3).
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if n_sites == 1:
+    _number("g", g, ge=0)
+    _number("kappa", kappa, gt=0)
+    if _count("n_sites", n_sites) == 1:
         return 0.0, 0.0
     n = float(n_sites)
     factor = (n * n - 1) / n
@@ -422,10 +428,8 @@ def phase_winding(spectrum: Spectrum) -> float:
 
 def waveguide_dispersion(omega, v: float, kappa_eff: float):
     """Wavenumber of a propagating field dressed by the cavity chain."""
-    if v <= 0:
-        raise ValueError("velocity must be positive")
-    if kappa_eff < 0:
-        raise ValueError("kappa_eff must be nonnegative")
+    _number("v", v, gt=0)
+    _number("kappa_eff", kappa_eff, ge=0)
     w = np.asarray(omega, dtype=float)
     if np.any(w == 0):
         raise ValueError("dispersion relation has a pole at omega = 0")

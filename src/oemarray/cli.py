@@ -34,6 +34,8 @@ from .core import (
     _as_float,
     _as_int,
     _as_ramp,
+    _count,
+    _number,
     _read_doc,
     _write_csv,
     _write_json,
@@ -55,7 +57,6 @@ from .noise import (
     stokes_to_csv,
 )
 from .optimize import OptimizationProblem, optimize_couplings, result_to_json
-from .transducer import _check_omega_m
 
 __all__ = ["main", "build_parser"]
 
@@ -199,10 +200,8 @@ def cmd_bandwidth_scan(args, doc: dict):
     base = _resolve_array_config(args, doc)
     if base.profile.kind == "explicit":
         raise ConfigError("bandwidth-scan needs a parametric profile (linear or tanh)")
-    n_lo = _as_int(_pick(args, "n_min", doc, "n_min", 1), "n_min")
-    n_hi = _as_int(_pick(args, "n_max", doc, "n_max", 200), "n_max")
-    if not 1 <= n_lo <= n_hi:
-        raise ConfigError(f"invalid size range {n_lo}..{n_hi}")
+    n_lo = _count("n_min", _as_int(_pick(args, "n_min", doc, "n_min", 1), "n_min"))
+    n_hi = _count("n_max", _as_int(_pick(args, "n_max", doc, "n_max", 200), "n_max"), n_lo)
     grid = _resolve_grid(args, doc, default_half_width=2.5, default_points=1201)
     asymmetric = _as_bool(_pick(args, "asymmetric", doc, "asymmetric", False), "asymmetric")
 
@@ -243,8 +242,8 @@ def cmd_noise(args, doc: dict):
 def cmd_stokes(args, doc: dict):
     config = _resolve_array_config(args, doc)
     # checked here, before the grid is centred on it
-    omega_m = _check_omega_m(_as_float(_pick(args, "omega_m", doc, "omega_m", 10.0),
-                                       "omega_m"))
+    omega_m = _number("omega_m", _as_float(_pick(args, "omega_m", doc, "omega_m", 10.0),
+                                           "omega_m"), gt=0)
     grid = _resolve_grid(args, doc, default_half_width=1.5, default_points=2001,
                          center=omega_m)
     sp = stokes_noise_spectrum(config, omega_m, grid)

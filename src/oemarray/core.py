@@ -52,6 +52,28 @@ class SpectrumError(RuntimeError):
     """A spectrum was too degenerate or under-resolved to analyze."""
 
 
+def _number(name: str, value, *, ge=-math.inf, gt=-math.inf, le=math.inf, lt=math.inf):
+    """``value`` if it is finite, >= ge, > gt, <= le and < lt, else a ValueError
+    naming field ``name`` and the value.  NaN fails every comparison, and the
+    defaults of ``gt`` and ``lt`` are the infinities, so any non-finite value fails."""
+    if ge <= value <= le and gt < value < lt:
+        return value
+    bounds = "".join(f" and {op} {bound}" for op, bound in
+                     ((">=", ge), (">", gt), ("<=", le), ("<", lt)) if abs(bound) < math.inf)
+    raise ValueError(f"{name} must be finite{bounds}, got {value}")
+
+
+def _count(name: str, value, minimum: int = 1):
+    """``value`` if it is an integer >= ``minimum``, else a ValueError naming field
+    ``name`` and the value.  A float (2.5, NaN, even 3.0) fails here, not in numpy."""
+    integral = isinstance(value, numbers.Integral)
+    if integral and value >= minimum:
+        return value
+    need = ("a positive integer" if minimum == 1 else
+            f">= {minimum}" if integral else f"an integer >= {minimum}")
+    raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
 def _write_csv(path, header: str, rows) -> None:
     """CSV with LF endings: the header line, then each row of numbers at 12
     significant digits, formatted by one ``%.12g`` line per row.  That
@@ -101,13 +123,11 @@ class SiteParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check, as infinity does
-        if not (0 <= self.g1 < math.inf and 0 <= self.g2 < math.inf):
-            raise ValueError("coupling rates must be finite and >= 0")
-        if not (0 < self.kappa1 < math.inf and 0 < self.kappa2 < math.inf):
-            raise ValueError("cavity linewidths must be finite and > 0")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError("mechanical linewidth must be finite and >= 0")
+        _number("g1", self.g1, ge=0)
+        _number("g2", self.g2, ge=0)
+        _number("kappa1", self.kappa1, gt=0)
+        _number("kappa2", self.kappa2, gt=0)
+        _number("gamma", self.gamma, ge=0)
 
 
 @dataclass(frozen=True)
@@ -136,14 +156,16 @@ class CouplingProfile:
         if self.kind == "explicit":
             if not self.explicit_values:
                 raise ValueError("explicit profile needs explicit_values")
-            for pair in self.explicit_values:
-                if len(pair) != 2 or not all(0 <= g < math.inf for g in pair):
-                    raise ValueError("explicit_values must be finite nonnegative (g1, g2) pairs")
+            for i, pair in enumerate(self.explicit_values):
+                if len(pair) != 2:
+                    raise ValueError("explicit_values must be (g1, g2) pairs")
+                for k, g in enumerate(pair):
+                    _number(f"explicit_values[{i}][{k}]", g, ge=0)
         else:
-            if not (0 <= self.g_bar1 < math.inf and 0 <= self.g_bar2 < math.inf):
-                raise ValueError("peak couplings must be finite and >= 0")
-            if self.kind == "tanh" and not 0 < self.beta < math.inf:
-                raise ValueError("tanh steepness beta must be finite and > 0")
+            _number("g_bar1", self.g_bar1, ge=0)
+            _number("g_bar2", self.g_bar2, ge=0)
+            if self.kind == "tanh":
+                _number("beta", self.beta, gt=0)
 
     @classmethod
     def linear(cls, g_bar1: float, g_bar2: float | None = None) -> "CouplingProfile":
@@ -160,12 +182,13 @@ class CouplingProfile:
         return cls(kind="explicit", explicit_values=tuple((float(a), float(b)) for a, b in pairs))
 
 
-def _as_ramp(value) -> tuple[float, float]:
-    """Normalize a linewidth spec (scalar or (start, end)) to endpoints."""
-    if isinstance(value, (int, float)):
-        return float(value), float(value)
-    start, end = value
-    return float(start), float(end)
+def _as_ramp(value, name: str = "linewidth") -> tuple[float, float]:
+    """Normalize a linewidth spec (scalar or (start, end)) to endpoints; any
+    other length is a ValueError naming field ``name``."""
+    ends = (value, value) if isinstance(value, (int, float)) else tuple(value)
+    if len(ends) != 2:
+        raise ValueError(f"{name} must be a number or a (start, end) pair, got {value!r}")
+    return float(ends[0]), float(ends[1])
 
 
 @dataclass(frozen=True)
@@ -185,17 +208,13 @@ class ArrayConfig:
     kappa_ref: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_sites < math.inf or int(self.n_sites) != self.n_sites:
-            raise ValueError("n_sites must be a positive integer")
-        for ramp in (self.kappa1, self.kappa2):
-            if not all(0 < k < math.inf for k in _as_ramp(ramp)):
-                raise ValueError("cavity linewidths must be finite and > 0")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and >= 0")
-        if not 0 <= self.n_bar < math.inf:
-            raise ValueError("n_bar must be finite and >= 0")
-        if not 0 < self.kappa_ref < math.inf:
-            raise ValueError("kappa_ref must be finite and > 0")
+        _count("n_sites", self.n_sites)
+        for name in ("kappa1", "kappa2"):
+            for k in _as_ramp(getattr(self, name), name):
+                _number(name, k, gt=0)
+        _number("gamma", self.gamma, ge=0)
+        _number("n_bar", self.n_bar, ge=0)
+        _number("kappa_ref", self.kappa_ref, gt=0)
         if self.profile.kind == "explicit" and len(self.profile.explicit_values) != self.n_sites:
             raise ValueError(
                 f"explicit profile lists {len(self.profile.explicit_values)} sites, "
@@ -212,11 +231,8 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not -math.inf < self.omega_min < self.omega_max < math.inf:
-            raise ValueError("omega_min must be < omega_max, both finite")
-        # a float count (2.5, NaN, even 3.0) would fail only in points()
-        if not isinstance(self.n_points, numbers.Integral) or self.n_points < 2:
-            raise ValueError(f"n_points must be an integer >= 2, got {self.n_points!r}")
+        _number("omega_max", self.omega_max, gt=_number("omega_min", self.omega_min))
+        _count("n_points", self.n_points, 2)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
@@ -259,11 +275,9 @@ def materialize_sites(config: ArrayConfig) -> list[SiteParams]:
         g1 = pairs[:, 0]
         g2 = pairs[:, 1]
 
-    return [
-        SiteParams(g1=float(g1[i]), g2=float(g2[i]), kappa1=float(k1[i]),
-                   kappa2=float(k2[i]), gamma=float(config.gamma))
-        for i in range(n)
-    ]
+    gamma = float(config.gamma)
+    return [SiteParams(*rates, gamma) for rates in
+            zip(g1.tolist(), g2.tolist(), k1.tolist(), k2.tolist())]
 
 
 def _peak_rate(prof: CouplingProfile, name: str, kappa) -> float:
@@ -298,11 +312,10 @@ def adiabaticity_margin(config: ArrayConfig) -> float:
 
 
 def classical_cooperativity(g: float, kappa: float, gamma: float) -> float:
-    """4 g**2 / (kappa*gamma)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0; use the gamma = 0 matrix limits instead")
+    """4 g**2 / (kappa*gamma); gamma = 0 has the matrix limits instead."""
+    _number("g", g, ge=0)
+    _number("kappa", kappa, gt=0)
+    _number("gamma", gamma, gt=0)
     return 4.0 * g * g / (kappa * gamma)
 
 
@@ -316,10 +329,10 @@ def gamma_linear_profile(n_sites: int, gamma_total: float,
     The single-site array is the balanced transducer (the ramp endpoints
     are unused at N = 1).
     """
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if gamma_total <= 0:
-        raise ValueError("gamma_total must be > 0")
+    _count("n_sites", n_sites)
+    _number("gamma_total", gamma_total, gt=0)
+    _number("kappa1", kappa1, gt=0)
+    _number("kappa2", kappa2, gt=0)
     g1_ref = np.sqrt(gamma_total * kappa1 / 2)
     g2_ref = np.sqrt(gamma_total * kappa2 / 2)
     if n_sites == 1:

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams, _write_csv, _write_json
+from .core import SingularMatrixError, SiteParams, _number, _write_csv, _write_json
 from .transducer import scattering_full
 
 __all__ = [
@@ -62,12 +62,10 @@ class LossySite:
             object.__setattr__(self, "kappa_r1", self.site.kappa1)
         if self.kappa_r2 is None:
             object.__setattr__(self, "kappa_r2", self.site.kappa2)
-        rates = (self.kappa_r1, self.kappa_r2, self.kappa_l1, self.kappa_l2,
-                 self.kappa_int1, self.kappa_int2)
-        if not all(0 <= r < math.inf for r in rates):
-            raise ValueError("decay rates must be finite and nonnegative")
-        if self.total1 <= 0 or self.total2 <= 0:
-            raise ValueError("each cavity needs a positive total linewidth")
+        for name in ("kappa_r1", "kappa_r2", "kappa_l1", "kappa_l2", "kappa_int1", "kappa_int2"):
+            _number(name, getattr(self, name), ge=0)
+        _number("total1", self.total1, gt=0)
+        _number("total2", self.total2, gt=0)
 
     @property
     def total1(self) -> float:
@@ -87,17 +85,14 @@ class CellLink:
     k2_d: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.zeta < math.inf:
-            raise ValueError("zeta must be finite and >= 0")
-        if not (math.isfinite(self.k1_d) and math.isfinite(self.k2_d)):
-            raise ValueError("propagation phases must be finite")
+        _number("zeta", self.zeta, ge=0)
+        _number("k1_d", self.k1_d)
+        _number("k2_d", self.k2_d)
 
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "CellLink":
         """Link with per-cell amplitude transmission 1 - epsilon."""
-        if not 0 <= epsilon < 1:
-            raise ValueError("epsilon must be in [0, 1)")
-        return cls(zeta=-math.log1p(-epsilon))
+        return cls(zeta=-math.log1p(-_number("epsilon", epsilon, ge=0, lt=1)))
 
 
 @dataclass(eq=False)
@@ -269,9 +264,8 @@ def efficiency_vs_loss(param: str, values: Sequence[float],
     if param not in ("kappa_int", "epsilon", "kappa_l"):
         raise ValueError(f"unknown sweep parameter: {param!r}")
     rows = []
-    for value in values:
-        if not 0 <= value < math.inf:
-            raise ValueError("loss values must be finite and nonnegative")
+    for i, value in enumerate(values):
+        _number(f"values[{i}]", value, ge=0)
         if param == "kappa_l":
             (_, eff), = backscatter_efficiency_table([value], sites)
         else:
@@ -294,7 +288,8 @@ def backscatter_alpha_fit(table: Sequence[Tuple[float, float]]) -> dict:
     Least squares through the origin over the linear regime (ratios up
     to 0.2).
     """
-    pts = [(float(x), float(y)) for x, y in table]
+    pts = [(_number(f"table[{i}] ratio", float(x)),
+            _number(f"table[{i}] efficiency", float(y))) for i, (x, y) in enumerate(table)]
     if len(pts) < 4:
         raise ValueError("need at least 4 sweep points for the slope fit")
     x = np.array([p[0] for p in pts])

@@ -16,10 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ArrayConfig, FrequencyGrid, SiteParams, _write_csv, materialize_sites
+from .core import (ArrayConfig, FrequencyGrid, SiteParams, _count, _number, _write_csv,
+                   materialize_sites)
 from .cascade import Spectrum, _mul2, _site_matrices, _t21, extract_bandwidth
-from .transducer import (BogoliubovSite, _check_omega_m, _full_terms, _lifted,
-                         _omega_factors, scattering_bogoliubov)
+from .transducer import (BogoliubovSite, _full_terms, _lifted, _omega_factors,
+                         scattering_bogoliubov)
 
 __all__ = [
     "NoiseSpectrum",
@@ -59,9 +60,9 @@ def noise_coupling_vector(sites: Sequence[SiteParams], j: int, omega) -> np.ndar
     valid for arbitrary coupling profiles.  Raises ``SingularMatrixError``
     where the site's response denominator vanishes.
     """
-    if not 1 <= j <= len(sites):
+    if not 1 <= j <= len(sites):  # NaN fails too
         raise IndexError(f"site index {j} outside 1..{len(sites)}")
-    return np.stack(_coupling_vector(sites[j - 1], omega), axis=-1)
+    return np.stack(_coupling_vector(sites[_count("j", j) - 1], omega), axis=-1)
 
 
 def _coupling_vector(site: SiteParams, omega):
@@ -122,8 +123,9 @@ def added_noise_resonant_analytic(c_tilde: float, n_bar: float,
     pi/2 (bright) and 1 + 5*pi/8 (dark), with further corrections of order
     N/c_tilde (on the bright port, absorption by downstream sites).
     """
-    if c_tilde < 0 or n_bar < 0 or n_sites < 1:
-        raise ValueError("invalid parameters")
+    _number("c_tilde", c_tilde, ge=0)
+    _number("n_bar", n_bar, ge=0)
+    _count("n_sites", n_sites)
     common = 4 * c_tilde * (2 * n_bar + 1) / (c_tilde + 1) ** 2
     return np.array([common * n_sites, common / (2 * n_sites)])
 
@@ -164,8 +166,7 @@ def _adaptive_trapezoid(f, lo, hi, rtol=1e-4, max_doublings=12):
     ``max_doublings`` doublings do not converge, a RuntimeWarning names the
     window and the last two estimates, and the last one is returned.
     """
-    if not hi > lo:
-        raise ValueError("integration window must have positive width")
+    _number("window[1]", hi, gt=_number("window[0]", lo))
     n = 65
     h = (hi - lo) / (n - 1)
     vals = f(np.linspace(lo, hi, n))
@@ -201,7 +202,7 @@ def stokes_noise_spectrum(config: ArrayConfig, omega_m: float,
 
 
 def _warn_unresolved(sites, omega_m):
-    _check_omega_m(omega_m)  # before it divides
+    _number("omega_m", omega_m, gt=0)  # before it divides
     kappa_max = max(max(s.kappa1, s.kappa2) for s in sites)
     if kappa_max / omega_m > 0.3:
         warnings.warn(

@@ -18,14 +18,12 @@ about 0.5 s).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import FrequencyGrid, SpectrumError, _write_json
+from .core import FrequencyGrid, SpectrumError, _count, _number, _write_json
 from .transducer import EliminatedSite
 from .cascade import _halfmax, _t21, eliminated_spectrum, extract_bandwidth
 
@@ -56,12 +54,9 @@ class OptimizationProblem:
     min_efficiency: float = 0.99
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, numbers.Integral) or self.n_sites < 1:
-            raise ValueError(f"n_sites must be a positive integer, got {self.n_sites!r}")
-        if not 0 < self.gamma_total < math.inf:
-            raise ValueError("gamma_total must be finite and > 0")
-        if not 0 < self.min_efficiency <= 1:
-            raise ValueError("min_efficiency must be in (0, 1]")
+        _count("n_sites", self.n_sites)
+        _number("gamma_total", self.gamma_total, gt=0)
+        _number("min_efficiency", self.min_efficiency, gt=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,8 @@ def _grid_for(problem: OptimizationProblem, widen: int = 0) -> FrequencyGrid:
 
 
 def _sites_for(fracs: np.ndarray, gamma_total: float) -> List[EliminatedSite]:
-    return [EliminatedSite(gamma1=float(f) * gamma_total,
-                           gamma2=(1.0 - float(f)) * gamma_total)
-            for f in fracs]
+    return [EliminatedSite(f * gamma_total, (1.0 - f) * gamma_total)
+            for f in fracs.tolist()]
 
 
 def _cross(w: np.ndarray, v: np.ndarray, half: float, ia: int, ib: int) -> float:
@@ -332,8 +326,7 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the search is serial")
-    if n_random_starts < 0:
-        raise ValueError(f"n_random_starts must be >= 0, got {n_random_starts!r}")
+    _count("n_random_starts", n_random_starts, 0)
     if problem.n_sites == 1:
         return _finalize(np.empty(0), problem, evals=1)
 
@@ -414,8 +407,9 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     if n < 3:
         raise ValueError("need at least 3 sites to fit a ramp shape")
     # NaN fails every comparison, so it would pass the monotonicity check
-    if not (np.all(np.isfinite(prof)) and 0 < gamma_total < math.inf):
-        raise ValueError("gamma1_per_site and gamma_total must be finite, gamma_total > 0")
+    for i, g in enumerate(prof.tolist()):
+        _number(f"gamma1_per_site[{i}]", g)
+    _number("gamma_total", gamma_total, gt=0)
     if np.any(np.diff(prof) < -1e-12 * gamma_total):
         raise ValueError("profile must be monotone nondecreasing")
     y = np.concatenate([[0.0], prof, [gamma_total]])

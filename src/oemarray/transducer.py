@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SingularMatrixError, SiteParams
+from .core import SingularMatrixError, SiteParams, _number
 
 __all__ = [
     "EliminatedSite",
@@ -49,8 +49,8 @@ class EliminatedSite:
     gamma2: float
 
     def __post_init__(self) -> None:
-        if not (0 <= self.gamma1 < math.inf and 0 <= self.gamma2 < math.inf):
-            raise ValueError("effective rates must be finite and nonnegative")
+        _number("gamma1", self.gamma1, ge=0)
+        _number("gamma2", self.gamma2, ge=0)
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,7 @@ class BogoliubovSite:
     omega_m: float
 
     def __post_init__(self) -> None:
-        _check_omega_m(self.omega_m)
-
-
-def _check_omega_m(omega_m: float) -> float:
-    """``omega_m``, once it is a finite mechanical frequency > 0."""
-    if not 0 < omega_m < math.inf:  # NaN fails too
-        raise ValueError(f"omega_m must be finite and > 0, got {omega_m}")
-    return omega_m
+        _number("omega_m", self.omega_m, gt=0)
 
 
 _TINY = np.finfo(float).tiny
@@ -190,8 +183,8 @@ def scattering_resonant(c1_tilde: float, c2_tilde: float) -> np.ndarray:
     Real-valued; conversion is perfect when the cooperativities are equal
     and large.
     """
-    if c1_tilde < 0 or c2_tilde < 0:
-        raise ValueError("cooperativities must be nonnegative")
+    _number("c1_tilde", c1_tilde, ge=0)
+    _number("c2_tilde", c2_tilde, ge=0)
     den = c1_tilde + c2_tilde + 1
     off = -2 * np.sqrt(c1_tilde * c2_tilde) / den
     return np.array([

@@ -97,3 +97,14 @@ def test_printed_summary_gives_the_verdict(tool, capsys):
     assert "bound 0.25: WORSE than bound (relative iqr parent 0.035" in lines[0]
     assert "bound 0.25: unresolved" in lines[1]
     assert "bound" not in lines[2]
+
+
+@pytest.mark.parametrize("last_line,counts", [
+    ("1 failed, 534 passed, 1 xfailed, 2 warnings in 30.2s",
+     {"passed": 534, "failed": 1, "errors": 0, "xfailed": 1, "xpassed": 0, "skipped": 0}),
+    ("530 passed, 3 skipped, 1 xpassed, 2 errors in 29.0s",
+     {"passed": 530, "failed": 0, "errors": 2, "xfailed": 0, "xpassed": 1, "skipped": 3}),
+])
+def test_tier1_counts_read_every_outcome(tool, last_line, counts):
+    # an xfail is not read as a failure, and warnings are not counted
+    assert tool.pytest_counts(last_line) == counts

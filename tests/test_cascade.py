@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -277,6 +278,13 @@ class TestExtractBandwidth:
         with pytest.raises(ValueError, match="evaluator"):
             extract_bandwidth(Spectrum(grid=grid, t21=t21))
 
+    def test_samples_must_match_the_grid(self):
+        # 401 samples on an 801-point grid gave an FWHM of 0.0525 after two
+        # bracket warnings, where the spectrum's own grid gives 0.1075
+        sp = conversion_spectrum(tanh_config(5), FrequencyGrid(-1.0, 1.0, 401))
+        with pytest.raises(ValueError, match=r"t21 has shape \(401,\), but the grid has 801"):
+            Spectrum(grid=FrequencyGrid(-1.0, 1.0, 801), t21=sp.t21, evaluator=sp.evaluator)
+
 
 def _bisect_crossing_reference(f, a, b, tol=1e-6):
     # the scalar loop extract_bandwidth used before its batched replay,
@@ -471,6 +479,17 @@ class TestBandwidthAnalytic:
     def test_vanishes_without_coupling(self):
         assert bandwidth_analytic(0.0, 1.0, 100) == 0.0
 
+    @pytest.mark.parametrize("args,field", [
+        ((0.08, 1.0, math.nan), "n_sites"),
+        ((0.08, 1.0, 2.5), "n_sites"),
+        ((0.08, -1.0, 3), "kappa"),
+        ((math.inf, 1.0, 3), "g"),
+    ])
+    def test_rejects_invalid_input(self, args, field):
+        # nan, a width for 2.5 sites and a negative width were returned
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            bandwidth_analytic(*args)
+
 
 class TestHalfmaxRoots:
     def test_single_site_root_is_exactly_zero(self):
@@ -480,6 +499,15 @@ class TestHalfmaxRoots:
     def test_roots_symmetric(self):
         lo, hi = halfmax_roots_analytic(0.08, 1.0, 37)
         assert lo == -hi and hi > 0
+
+    @pytest.mark.parametrize("args,field", [
+        ((0.08, 1.0, math.nan), "n_sites"),
+        ((0.08, math.nan, 3), "kappa"),
+    ])
+    def test_rejects_invalid_input(self, args, field):
+        # (nan, nan) was returned
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            halfmax_roots_analytic(*args)
 
     def test_converges_to_cube_root_law(self):
         # finite-N gap decays as N^(-2/3); it is 1.37% at N=1e4 and crosses
@@ -580,6 +608,15 @@ class TestWaveguideDispersion:
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
             waveguide_dispersion(0.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("args,field", [
+        ((1.0, math.nan, 1.0), "v"),
+        ((1.0, 1.0, math.inf), "kappa_eff"),
+    ])
+    def test_rejects_non_finite_rates(self, args, field):
+        # nan was returned
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            waveguide_dispersion(*args)
 
     def test_unequal_rates_never_phase_matched(self):
         # mismatch k1-k2 = (k2_eff^2 - k1_eff^2)/(v w) has no root at finite w

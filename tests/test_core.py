@@ -112,6 +112,9 @@ def test_invalid_configs_rejected():
     for n_points in (2.5, math.nan, 3.0):
         with pytest.raises(ValueError, match="n_points must be an integer"):
             FrequencyGrid(0.0, 1.0, n_points)
+    # a ramp of three values failed to unpack, naming no field
+    with pytest.raises(ValueError, match=r"kappa1 must be a number or a \(start, end\) pair"):
+        ArrayConfig(n_sites=3, profile=CouplingProfile.linear(0.1), kappa1=(1.0, 2.0, 3.0))
 
 
 @pytest.mark.parametrize("build", [
@@ -132,10 +135,22 @@ def test_invalid_configs_rejected():
     lambda: FrequencyGrid(-1.0, math.inf, 11),
     lambda: BogoliubovSite(SiteParams(0.1, 0.1, 1.0, 1.0), omega_m=math.nan),
     lambda: BogoliubovSite(SiteParams(0.1, 0.1, 1.0, 1.0), omega_m=math.inf),
+    lambda: ArrayConfig(n_sites=3.0, profile=CouplingProfile.tanh(0.08)),
+    lambda: classical_cooperativity(math.nan, 1.0, 1.0),
 ])
 def test_non_finite_parameters_rejected(build):
     with pytest.raises(ValueError, match="finite|positive integer"):
         build()
+
+
+def test_rejections_name_the_field_and_value():
+    with pytest.raises(ValueError, match=r"^n_sites must be a positive integer, got 3\.0$"):
+        ArrayConfig(n_sites=3.0, profile=CouplingProfile.tanh(0.08))
+    with pytest.raises(ValueError, match=r"^g must be finite and >= 0, got nan$"):
+        classical_cooperativity(math.nan, 1.0, 1.0)
+    # this raised too, but named explicit_values
+    with pytest.raises(ValueError, match=r"^n_sites must be a positive integer, got 2\.5$"):
+        gamma_linear_profile(2.5, 0.02)
 
 
 def test_infinite_site_count_in_config_is_config_error():

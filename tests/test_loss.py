@@ -1,6 +1,7 @@
 """Tests for two-sided sites, propagation loss, and backscatter fits."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -289,6 +290,16 @@ class TestBackscatterAlphaFit:
     def test_zero_ratio_rejected(self):
         pts = [(0.0, 0.95), (0.05, 0.9), (0.1, 0.85), (0.15, 0.8)]
         with pytest.raises(ValueError, match="positive"):
+            backscatter_alpha_fit(pts)
+
+    @pytest.mark.parametrize("point,field", [
+        ((math.nan, 0.85), r"table\[1\] ratio"),
+        ((0.05, math.inf), r"table\[1\] efficiency"),
+    ])
+    def test_non_finite_point_rejected(self, point, field):
+        # one NaN ratio gave alpha = nan
+        pts = [(0.02, 0.95), point, (0.1, 0.85), (0.15, 0.8)]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             backscatter_alpha_fit(pts)
 
 

@@ -85,6 +85,9 @@ class TestNoiseCouplingVector:
             noise_coupling_vector(sites, 0, 0.0)
         with pytest.raises(IndexError):
             noise_coupling_vector(sites, 5, 0.0)
+        # a fractional index failed inside list indexing
+        with pytest.raises(ValueError, match="^j must be a positive integer, got 1.5$"):
+            noise_coupling_vector(sites, 1.5, 0.0)
 
 
 class TestAddedNoiseSpectrum:
@@ -218,6 +221,11 @@ class TestResonantAnalytic:
             added_noise_resonant_analytic(-1.0, 100.0, 5)
         with pytest.raises(ValueError):
             added_noise_resonant_analytic(800.0, 100.0, 0)
+        # [nan nan] and a noise for 2.5 sites were returned
+        with pytest.raises(ValueError, match="^c_tilde must be finite and >= 0, got nan$"):
+            added_noise_resonant_analytic(math.nan, 1.0, 3)
+        with pytest.raises(ValueError, match="^n_sites must be a positive integer"):
+            added_noise_resonant_analytic(1.0, 1.0, 2.5)
 
 
 class TestIntegratedAddedNoise:
@@ -250,6 +258,9 @@ class TestIntegratedAddedNoise:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             integrated_added_noise(rate_config(2), window=(0.1, 0.1))
+        # [nan nan] was returned after 12 doublings
+        with pytest.raises(ValueError, match=r"^window\[1\] must be finite and > 0\.0, got inf$"):
+            integrated_added_noise(rate_config(2), window=(0.0, math.inf))
 
     def test_dead_conversion_band_propagates(self):
         prof = CouplingProfile.explicit([(0.0, 0.0), (0.0, 0.0)])

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,16 @@ class TestScatteringResonant:
         s = scattering_resonant(1.0, 1.0)
         assert s[1, 0] == pytest.approx(-2.0 / 3.0, rel=1e-12)
         assert s.dtype == np.float64
+
+    @pytest.mark.parametrize("args,field", [
+        ((math.inf, 1.0), "c1_tilde"),
+        ((1.0, math.nan), "c2_tilde"),
+        ((1.0, -1.0), "c2_tilde"),
+    ])
+    def test_rejects_invalid_cooperativities(self, args, field):
+        # an infinite cooperativity gave a NaN matrix
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            scattering_resonant(*args)
 
 
 class TestScatteringEliminated:

@@ -23,8 +23,8 @@ they differ.
 
 With ``--tier1``, ``TIER1_PAIRS`` more alternating pairs run the Tier-1
 suite, ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
-in each checkout, and record its wall time and the passed, failed and error
-counts of pytest's last line.
+in each checkout, and record its wall time and the passed, failed, error,
+xfailed, xpassed and skipped counts of pytest's last line.
 
 With ``--trace K``, traced run k (k = 1 .. K) runs ``python3 perfbench/run.py
 --workload W --seed k --seconds T --trace 1`` once in each checkout, in the
@@ -234,8 +234,18 @@ def traced_runs(dirs: dict, workload: str, k: int, seconds: float,
 
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_PAIRS = 2
-# the counts on pytest's last line, e.g. "2 failed, 353 passed, 1 warning in 97.10s"
-_PYTEST_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+TIER1_COUNTS = ("passed", "failed", "errors", "xfailed", "xpassed", "skipped")
+# the counts on pytest's last line, e.g. "2 failed, 353 passed, 1 xfailed, 1 warning
+# in 97.10s"; "warnings" is not one of them
+_PYTEST_COUNT = re.compile(r"(\d+) (passed|failed|errors?|xfailed|xpassed|skipped)\b")
+
+
+def pytest_counts(last_line: str) -> dict:
+    """Each of ``TIER1_COUNTS`` on pytest's last line, 0 where it is absent."""
+    counts = dict.fromkeys(TIER1_COUNTS, 0)
+    for number, word in _PYTEST_COUNT.findall(last_line):
+        counts["errors" if word.startswith("error") else word] = int(number)
+    return counts
 
 
 def run_tier1(checkout: str) -> dict:
@@ -245,11 +255,9 @@ def run_tier1(checkout: str) -> dict:
                           capture_output=True, text=True)
     wall = time.perf_counter() - started
     lines = proc.stdout.strip().splitlines()
-    record = {"wall_s": wall, "passed": 0, "failed": 0, "errors": 0,
-              "exit": proc.returncode, "last_line": lines[-1] if lines else ""}
-    for number, word in _PYTEST_COUNT.findall(record["last_line"]):
-        record["errors" if word.startswith("error") else word] = int(number)
-    return record
+    last_line = lines[-1] if lines else ""
+    return {"wall_s": wall, **pytest_counts(last_line), "exit": proc.returncode,
+            "last_line": last_line}
 
 
 def tier1_pairs(dirs: dict) -> dict:
@@ -258,8 +266,9 @@ def tier1_pairs(dirs: dict) -> dict:
     for pair in alternating(TIER1_PAIRS, lambda side, k: run_tier1(dirs[side])):
         pairs.append(pair)
         print(f"tier1 pair {pair['pair']}: " + ", ".join(
-            f"{side} {pair[side]['wall_s']:.1f} s {pair[side]['passed']} passed "
-            f"{pair[side]['failed']} failed" for side in SIDES), flush=True)
+            f"{side} {pair[side]['wall_s']:.1f} s " + " ".join(
+                f"{pair[side][name]} {name}" for name in TIER1_COUNTS if pair[side][name])
+            for side in SIDES), flush=True)
     return {
         "description": (
             "The Tier-1 suite, `PYTHONPATH=src python -m pytest -q "
@@ -269,8 +278,8 @@ def tier1_pairs(dirs: dict) -> dict:
         "pairs": pairs,
         "summary": summarize(pairs, [{"name": "wall_s", "better": "lower"},
                                      {"name": "passed", "better": "higher"},
-                                     {"name": "failed", "better": "lower"},
-                                     {"name": "errors", "better": "lower"}]),
+                                     *({"name": name, "better": "lower"}
+                                       for name in TIER1_COUNTS[1:])]),
     }
 
 
