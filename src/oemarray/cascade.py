@@ -15,12 +15,12 @@ linewidths share the frequency factors of ``scattering_full``
 (``_site_matrices``, which the noise cascade's suffix sum uses too).
 ``array_transfer`` folds all four entries.  The callers that read only T21
 fold column 0 alone (``_t21``), which gives the same bits from half the
-products: the spectrum's evaluator, the optimizer's surrogate
-(``optimize._grid_metrics``) and the noise band window.  The spectrum's own
-sweep stays on ``array_transfer``, because the benchmark's cascade sweep
-metric is timed from those calls.  The optimizer's adjoint gradient
-(``optimize._t21_gradient``) needs partial products and sweeps its own site
-matrices.
+products: the spectrum's evaluator and the noise band window.  The
+spectrum's own sweep stays on ``array_transfer``, because the benchmark's
+cascade sweep metric is timed from those calls.  The optimizer's surrogate
+calls no site kernel: with the rate budget fixed, it builds T21 and its
+gradients from the sites' polynomial (``optimize._columns``), and only its
+refined results come from this module.
 Half-max crossings are refined by exact batched bisection: the result is
 bit for bit that of a scalar bisection loop, but each round evaluates the
 spectrum's evaluator once, on an array of candidate midpoints.

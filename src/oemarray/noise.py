@@ -60,7 +60,9 @@ def noise_coupling_vector(sites: Sequence[SiteParams], j: int, omega) -> np.ndar
     valid for arbitrary coupling profiles.  Raises ``SingularMatrixError``
     where the site's response denominator vanishes.
     """
-    if not 1 <= j <= len(sites):  # NaN fails too
+    # only an integer is out of range; anything else, NaN included, fails
+    # _count's integer check with the message a fractional index gets
+    if hasattr(j, "__index__") and not 1 <= j <= len(sites):
         raise IndexError(f"site index {j} outside 1..{len(sites)}")
     return np.stack(_coupling_vector(sites[_count("j", j) - 1], omega), axis=-1)
 

@@ -1,19 +1,25 @@
 """Constrained bandwidth maximization over mirror-symmetric coupling ramps.
 
 The search runs in the cavity-eliminated picture, where each site is a
-mechanical resonance with two external rates summing to a fixed budget.
-The objective is the conversion FWHM of the sampled spectrum, with
-crossings interpolated between grid points, and each in-band ripple trough
-is held above a floor by an inequality constraint.  All are piecewise smooth
-in the rate fractions, and their exact gradients come from one adjoint sweep
-of the cascade, so each start is one gradient-based SLSQP solve.  The sweep
-runs only at the profiles where the solver asks for a gradient, since its
-line search needs values alone.  A brute-force
-grid oracle covers the small arrays, and profiles can be summarized by
-their best-fit tanh steepness.  scipy imports stay inside the functions
-that call them, since every CLI run would otherwise pay them at start-up
-(``scipy.optimize`` takes about 0.6 s to import, ``scipy.linalg`` alone
-about 0.5 s).
+mechanical resonance with two external rates summing to a fixed budget G.
+In zeta = (w - 2iG)/(w + 2iG), on the unit circle, site j is then P+ + zeta
+P-, with P+- = (1 +- R_j)/2 the projectors of the reflection R_j = [[c, -s],
+[-s, -c]], c = 1 - 2f_j and s = 2 sqrt(f_j (1 - f_j)), so T21 is a real
+polynomial of degree N in zeta.  Recurrences over the sites give its
+coefficients and their derivatives in the rate fractions, with no site
+kernel call.  Each site is unitary on the circle, so the coefficients'
+squares sum to the mean of |T21|^2, at most 1, and the rounding does not
+grow with N.
+
+The objective is the conversion FWHM of the spectrum sampled on a grid,
+with crossings interpolated between grid points, and each in-band ripple
+trough is held above a floor by an inequality constraint.  All are
+piecewise smooth in the rate fractions, with exact gradients, so each start
+is one gradient-based SLSQP solve.  A brute-force grid oracle covers the
+small arrays, and profiles can be summarized by their best-fit tanh
+steepness.  scipy imports stay inside the functions that call them, since
+every CLI run would otherwise pay them at start-up (``scipy.optimize``
+takes about 0.6 s to import, ``scipy.linalg`` alone about 0.5 s).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .core import FrequencyGrid, SpectrumError, _count, _number, _write_json
 from .transducer import EliminatedSite
-from .cascade import _halfmax, _t21, eliminated_spectrum, extract_bandwidth
+from .cascade import _halfmax, eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -77,13 +83,7 @@ class OptimizationResult:
 
 def _mirror_fractions(free: np.ndarray, n: int) -> np.ndarray:
     """Complete the first-half rate fractions to a full symmetric ramp."""
-    prof = np.empty(n)
-    half = n // 2
-    prof[:half] = free
-    if n % 2:
-        prof[half] = 0.5
-    prof[n - half:] = 1.0 - free[::-1]
-    return prof
+    return np.concatenate([free, [0.5] * (n % 2), 1.0 - free[::-1]])
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
@@ -102,59 +102,58 @@ def _sites_for(fracs: np.ndarray, gamma_total: float) -> List[EliminatedSite]:
             for f in fracs.tolist()]
 
 
-def _cross(w: np.ndarray, v: np.ndarray, half: float, ia: int, ib: int) -> float:
-    """Half-max crossing linearly interpolated between grid points ia and ib."""
-    wa, wb = w[ia], w[ib]
-    va, vb = v[ia], v[ib]
-    return wa + (half - va) * (wb - wa) / (vb - va)
+def _columns(fracs: np.ndarray) -> List[List[complex]]:
+    """Column 0 of S_j ... S_1, j = 0 .. N, as coefficients of powers of zeta.
 
-
-def _t21_gradient(fracs: np.ndarray, gamma_total: float, omega: np.ndarray) -> np.ndarray:
-    """dT21/df_j of the eliminated cascade at the frequencies ``omega`` (row j).
-
-    With u = omega / gamma_total and d = 2(2f - 1), a site is [[-d - iu,
-    o], [o, d - iu]] / (2 - iu) with o = -4 sqrt(f(1 - f)); G1 + G2 is the
-    fixed budget, so the denominator does not depend on f, and dS/df =
-    [[-4, -2k], [-2k, 4]] / (2 - iu) with k = (1 - 2f) / sqrt(f(1 - f)).
-    A forward sweep carries column 0 of the prefix products P_j = S_j ...
-    S_1, an adjoint sweep row 1 of the suffix products Q_j = S_N ...
-    S_{j+1}, and dT21/df_j = (Q_j dS_j P_{j-1})_10.  Both carry their two
-    entries as the two lanes of one array, so each site costs three ufunc
-    calls per sweep, with every product's operands in the order of the
-    entrywise formulas.
+    A real column (a, b) is taken as u = a + ib, so that R_j is u -> e_j u*
+    with e_j = c - is and P+- u = (u +- e_j u*)/2.  Python numbers, since
+    numpy calls cost more at the sizes searched.
     """
-    n = len(fracs)
-    f = np.asarray(fracs, dtype=float)[:, None]
-    iu = 1j * (omega / gamma_total)
-    den = 2 - iu
-    root = np.sqrt(f * (1 - f))
-    # S_j is symmetric: s[j] is (s00, s01 = s10, s11), so a[j] = s[j, :2] is
-    # its column and row 0 and b[j] = s[j, 1:] its column and row 1.  It maps
-    # a column c to a[j] * c[0] + b[j] * c[1] and a row r to r[0] * a[j] +
-    # r[1] * b[j]
-    s = np.empty((n, 3, len(omega)), dtype=complex)
-    s[:, 0], s[:, 1], s[:, 2] = ((2 - 4 * f - iu) / den, -4 * root / den,
-                                 (4 * f - 2 - iu) / den)
-    a, b = s[:, :2], s[:, 1:]
-    cols = np.zeros((n, 2, len(omega)), dtype=complex)  # column 0 of P_{j-1}
-    rows = np.zeros_like(cols)  # row 1 of Q_j
-    cols[0, 0] = rows[-1, 1] = 1
-    for j in range(n - 1):
-        np.add(a[j] * cols[j, 0], b[j] * cols[j, 1], out=cols[j + 1])
-    for j in range(n - 1, 0, -1):
-        np.add(rows[j, 0] * a[j], rows[j, 1] * b[j], out=rows[j - 1])
-    r0, r1, c0, c1 = rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 1]
-    k = (1 - 2 * f) / root
-    return (-4 * (r0 * c0 - r1 * c1) - 2 * k * (r0 * c1 + r1 * c0)) / den
+    cols = [[1 + 0j]]
+    for f in fracs.tolist():
+        cols.append(_site_step(f, cols[-1]))
+    return cols
 
 
-def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray):
+def _site_step(f: float, u: List[complex]) -> List[complex]:
+    """``u`` times the site of rate fraction ``f``: P+ u_k + P- u_(k-1)."""
+    e = complex(0.5 - f, -(f * (1 - f)) ** 0.5)  # e_j / 2
+    return [(p + q) * 0.5 + e * (p - q).conjugate() for p, q in zip(u + [0j], [0j] + u)]
+
+
+def _t21_jacobian(fracs: np.ndarray) -> np.ndarray:
+    """dc_k/df_j of T21's coefficients c_k, in row j.
+
+    dS_j/df_j = (1 - zeta) M_j, M_j = [[-1, -k], [-k, 1]] with k = (1 - 2f)/(2
+    sqrt(f(1 - f))), so dT21/df_j = (1 - zeta) x M_j y for y column 0 of S_(j-1)
+    ... S_1 and x row 1 of S_N ... S_(j+1), which the adjoint recurrence
+    steps as a column, S_j being symmetric.  M_j is u -> m_j u* with m_j =
+    -1 - ik, so x M_j y = Re(x (conj(m_j) y)): one convolution per site.
+    """
+    row, jac = [1j], []
+    for f, col in zip(fracs.tolist()[::-1], _columns(fracs)[-2::-1]):
+        m = complex(-1, (0.5 - f) / (f * (1 - f)) ** 0.5)
+        row_1z = [p - q for p, q in zip(row + [0j], [0j] + row)]  # x (1 - zeta)
+        jac.append(np.convolve(row_1z, [m * y for y in col]).real)
+        row = _site_step(f, row)
+    return np.array(jac[::-1])
+
+
+def _search_grid(problem: OptimizationProblem):
+    """(w, basis): the points of ``_grid_for(problem)`` and zeta^k at them
+    in row k, k = 0 .. N; computed once per search."""
+    w = _grid_for(problem).points()
+    zeta = 1 - 4j / (w / problem.gamma_total + 2j)  # (w - 2iG)/(w + 2iG)
+    return w, np.cumprod([np.ones_like(zeta)] + [zeta] * problem.n_sites, axis=0)
+
+
+def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, grid):
     """(fwhm, passband_min, troughs, derivatives) of the sampled spectrum.
 
     Crossings are linearly interpolated between grid points; this is the
     cheap surrogate the local search iterates on, while final reporting
-    goes through the bisection-refined extractor.  ``w`` is the points of
-    ``_grid_for(problem)``.
+    goes through the bisection-refined extractor.  ``grid`` is
+    ``_search_grid(problem)``.
 
     The troughs are the N - 1 lowest local minima of the samples within the
     half-max span, ascending (the first is passband_min), padded with the
@@ -164,45 +163,45 @@ def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, w: np.ndarray
     kink.
 
     ``derivatives()`` returns (d_fwhm, d_troughs): the FWHM's gradient in
-    the rate fractions, and trough k's in row k.  They cost about as much
-    as the values again, and SLSQP's line search needs values alone, so
-    they are computed only on that call.  Each crossing is differentiated
-    through its interpolation formula, with the half level as half the peak
-    sample, so T21's derivatives are needed only at the crossings' four
-    samples, the peak and the troughs.
+    the rate fractions, and trough k's in row k, computed only on that call,
+    since SLSQP's line search needs values alone.  Each crossing is
+    differentiated through its interpolation formula, with the half level
+    as half the peak sample, so T21's derivatives are needed only at the
+    crossings' four samples, the peak and the troughs.
     """
-    t21 = _t21(_sites_for(fracs, problem.gamma_total), w)
-    v = np.abs(t21) ** 2
+    w, basis = grid
+    # T21's coefficients are real: the imaginary parts of the last column's
+    pairs = np.array(_columns(fracs)[-1]).imag @ basis.view(float)
+    t21, v = pairs.view(complex), pairs ** 2
+    v = v[0::2] + v[1::2]
     n_troughs = max(len(fracs) - 1, 1)
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
         return 0.0, 0.0, np.zeros(n_troughs), lambda: (
             np.zeros(len(fracs)), np.zeros((n_troughs, len(fracs))))
-    fwhm = float(_cross(w, v, half, i1, i1 + 1) - _cross(w, v, half, i0 - 1, i0))
-
     # v[i0 - 1] and v[i1 + 1] lie below half, so neither end is a minimum
     span = v[i0:i1 + 1]
-    troughs = np.flatnonzero((span <= v[i0 - 1:i1]) & (span < v[i0 + 1:i1 + 2])) + i0
-    troughs = troughs[np.argsort(v[troughs], kind="stable")][:n_troughs]
+    troughs = ((span <= v[i0 - 1:i1]) & (span < v[i0 + 1:i1 + 2])).nonzero()[0] + i0
+    troughs = troughs[np.argsort(v[troughs], kind="stable")][:n_troughs].tolist()
     i_peak = int(np.argmax(v))
-    idx = np.concatenate([[i0 - 1, i0, i1, i1 + 1, i_peak], troughs,
-                          np.full(n_troughs - len(troughs), i_peak)])
+    idx = np.array([i0 - 1, i0, i1, i1 + 1, i_peak] + troughs
+                   + [i_peak] * (n_troughs - len(troughs)))
     # the samples the derivatives need, so that a search's memo does not
     # hold on to the whole spectrum of every profile
     t_at, v_at, w_at = t21[idx], v[idx], w[idx]
+    # the lower crossing lies between samples 0 and 1, the upper between 2 and 3
+    lo, hi = slice(0, 3, 2), slice(1, 4, 2)
 
     def derivatives():
-        dv = 2 * (t_at.conjugate() * _t21_gradient(fracs, problem.gamma_total, w_at)).real
-        dhalf = dv[:, 4] / 2
+        run, rise, below = w_at[hi] - w_at[lo], v_at[hi] - v_at[lo], half - v_at[lo]
+        dv = _t21_jacobian(fracs) @ (2 * (t_at.conjugate() * basis[:, idx]).real)
+        dva, dvb = dv[:, lo], dv[:, hi]
+        dcross = run * ((dv[:, 4:5] / 2 - dva) * rise - below * (dvb - dva)) / rise ** 2
+        return dcross[:, 1] - dcross[:, 0], dv[:, 5:].T
 
-        def dcross(col):  # the crossing between samples col and col + 1
-            dva, dvb = dv[:, col], dv[:, col + 1]
-            run, rise = w_at[col + 1] - w_at[col], v_at[col + 1] - v_at[col]
-            return run * ((dhalf - dva) * rise - (half - v_at[col]) * (dvb - dva)) / rise ** 2
-
-        return dcross(2) - dcross(0), dv[:, 5:].T
-
+    (wa, wb, wc, wd), (va, vb, vc, vd) = w_at[:4].tolist(), v_at[:4].tolist()
+    fwhm = wc + (half - vc) * (wd - wc) / (vd - vc) - (wa + (half - va) * (wb - wa) / (vb - va))
     return fwhm, pb_min, v_at[5:], derivatives
 
 
@@ -242,7 +241,7 @@ def _start_profiles(problem: OptimizationProblem, n_random: int,
 def _local_search(start: np.ndarray, problem: OptimizationProblem):
     from scipy.optimize import minimize
 
-    w = _grid_for(problem).points()
+    grid = _search_grid(problem)
     m = len(start)
     # the surrogate by clipped profile, computed once per search: SLSQP asks
     # for the objective and the constraint at every trial point of its line
@@ -255,7 +254,7 @@ def _local_search(start: np.ndarray, problem: OptimizationProblem):
         xc = _clip(x)
         key = xc.tobytes()
         if key not in values:
-            values[key] = _grid_metrics(_mirror_fractions(xc, problem.n_sites), problem, w)
+            values[key] = _grid_metrics(_mirror_fractions(xc, problem.n_sites), problem, grid)
         if not gradient:
             return values[key]
         if key not in gradients:
@@ -317,9 +316,9 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
 
     From each of five ramp-shaped starting profiles and ``n_random_starts``
     random ones, one SLSQP solve maximizes the sampled-spectrum FWHM with
-    every ripple trough held above the floor, all gradients exact (one
-    adjoint sweep of the cascade at each profile where the solver asks for
-    a gradient); a few Newton steps along the floor's gradient then
+    every ripple trough held above the floor, all gradients exact (from the
+    sites' polynomial, at each profile where the solver asks for a
+    gradient); a few Newton steps along the floor's gradient then
     lift an endpoint that stopped just below the floor.  Each endpoint is
     refined by bisection, and the best feasible one is reported.  The starts
     run one after another; ``workers`` must be 1.
@@ -363,13 +362,13 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
         return _finalize(np.empty(0), problem, evals=1)
 
     evals = 0
-    w = _grid_for(problem).points()
+    grid = _search_grid(problem)
 
     def objective(f: float) -> float:
         nonlocal evals
         evals += 1
         fwhm, pb, *_ = _grid_metrics(
-            _mirror_fractions(np.array([f]), problem.n_sites), problem, w)
+            _mirror_fractions(np.array([f]), problem.n_sites), problem, grid)
         if fwhm <= 0 or pb < problem.min_efficiency - 1e-9:
             return -np.inf
         return fwhm

@@ -69,12 +69,35 @@ def test_parent_spread_wider_than_the_bound_is_unresolved(tool):
     assert s["unresolved"]
 
 
-def test_wide_spread_resolved_when_the_change_wins_every_pair(tool):
+def test_wide_spread_resolved_only_when_every_change_run_reads_better(tool):
+    # winning every pair is not enough: the change's slowest run must beat
+    # the parent's fastest
     parent = [60, 70, 71, 80, 95, 105, 120, 130, 140, 150]
     change = [x - 5 for x in parent]
     s = tool.summarize(pairs("job_ms_p50", parent, change), [LOWER])["job_ms_p50"]
     assert s["change_better_pairs"] == 10
+    assert s["unresolved"]
+    change = [x / 2.6 for x in parent]  # the slowest, 57.7, below 60
+    s = tool.summarize(pairs("job_ms_p50", parent, change), [LOWER])["job_ms_p50"]
     assert not s["unresolved"]
+    s = tool.summarize(pairs("jobs_per_s", parent, [x * 2.6 for x in parent]),
+                       [HIGHER])["jobs_per_s"]
+    assert not s["unresolved"]
+
+
+@pytest.mark.parametrize("shift,lost,met", [
+    (20, 0, True),    # every pair, by far more than the parent's spread
+    (20, 1, True),    # nine of ten pairs
+    (20, 2, False),   # eight of ten pairs
+    (3, 0, False),    # every pair, by less than the parent's spread of 3.5
+])
+def test_claim_rule(tool, shift, lost, met):
+    change = [x - shift for x in STEADY]
+    for k in range(lost):
+        change[k] = STEADY[k]  # a tie counts for neither side
+    s = tool.summarize(pairs("job_ms_p50", STEADY, change), [LOWER])["job_ms_p50"]
+    assert s["change_better_pairs"] == 10 - lost
+    assert s["claim_rule_met"] is met
 
 
 def test_metrics_without_a_bound_are_not_judged(tool):

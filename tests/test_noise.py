@@ -85,9 +85,12 @@ class TestNoiseCouplingVector:
             noise_coupling_vector(sites, 0, 0.0)
         with pytest.raises(IndexError):
             noise_coupling_vector(sites, 5, 0.0)
-        # a fractional index failed inside list indexing
+        # a fractional index failed inside list indexing, and NaN failed the
+        # range check as an IndexError
         with pytest.raises(ValueError, match="^j must be a positive integer, got 1.5$"):
             noise_coupling_vector(sites, 1.5, 0.0)
+        with pytest.raises(ValueError, match="^j must be a positive integer, got nan$"):
+            noise_coupling_vector(sites, math.nan, 0.0)
 
 
 class TestAddedNoiseSpectrum:

@@ -38,12 +38,15 @@ The output records, per workload and side, every pair's metrics,
 ``failed_ratio`` and ``calibration_ms`` (perfbench's calibration kernel, ms
 before and after the run's jobs); per metric, the median and quartiles of
 each side, how many pairs the change won, the parent's quartile distance,
-and whether the change's median moved by more than that distance.  Each
-end-to-end metric is also judged by the no-regression rule against its
-``bound``: each side's quartile distance relative to its median, whether the
-change's median is within the bound, and ``unresolved`` where the parent's
-relative spread exceeds the bound and the change did not win every pair;
-the printed summary gives the verdict.  It also records
+whether the change's median moved by more than that distance, and
+``claim_rule_met``: the change won at least nine tenths of the pairs (a tie
+counts for neither side) and its median gain exceeds the parent's quartile
+distance.  Each end-to-end metric is also judged by the no-regression rule
+against its ``bound``: each side's quartile distance relative to its median,
+whether the change's median is within the bound, and ``unresolved`` where
+the parent's relative spread exceeds the bound, unless every run of the
+change reads better than every run of the parent; the printed summary gives
+the verdict.  It also records
 ``nproc``, the Python, numpy and scipy versions, each side's ``src/`` line
 count (the lines of ``src/**/*.py``) and each side's CLI option count (the
 option strings of its ``oemarray.cli.build_parser()``, top level and every
@@ -290,15 +293,17 @@ def _quartiles(values: list) -> dict:
 
 def summarize(pairs: list, metrics: list) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change won,
-    the parent's quartile distance and whether the median gain exceeds it.
+    the parent's quartile distance, whether the median gain exceeds it, and
+    whether a claimed gain would stand (``claim_rule_met``: at least nine
+    tenths of the pairs won, ties counting for neither side, and that gain).
 
     A metric with a ``bound`` (an end-to-end metric of ``BENCHMARK.json``) is
     also judged by the no-regression rule: each side's quartile distance
     relative to its own median, whether the change's median is within the
     bound of the parent's (worse by at most that fraction), and whether the
     runs are too spread to tell: ``unresolved`` when the parent's relative
-    quartile distance exceeds the bound and the change did not win every
-    pair.
+    quartile distance exceeds the bound, unless every run of the change
+    reads better than every run of the parent.
     """
     summary = {}
     for metric in metrics:
@@ -309,6 +314,7 @@ def summarize(pairs: list, metrics: list) -> dict:
                   for p, c in zip(sides["parent"], sides["change"]))
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         gain = stats["parent"]["median"] - stats["change"]["median"]
+        exceeds = (gain if lower else -gain) > iqr
         entry = summary[name] = {
             **stats,
             "better": metric["better"],
@@ -318,7 +324,8 @@ def summarize(pairs: list, metrics: list) -> dict:
                 stats["change"]["median"] / stats["parent"]["median"]
                 if stats["parent"]["median"] else None,
             "parent_iqr": iqr,
-            "median_gain_exceeds_parent_iqr": (gain if lower else -gain) > iqr,
+            "median_gain_exceeds_parent_iqr": exceeds,
+            "claim_rule_met": 10 * won >= 9 * len(pairs) and exceeds,
         }
         if "bound" in metric:
             bound, parent = metric["bound"], stats["parent"]["median"]
@@ -326,12 +333,14 @@ def summarize(pairs: list, metrics: list) -> dict:
                         if st["median"] else None for side, st in stats.items()}
             limit = parent * (1 + bound) if lower else parent * (1 - bound)
             change = stats["change"]["median"]
+            separated = (max(sides["change"]) < min(sides["parent"]) if lower
+                         else min(sides["change"]) > max(sides["parent"]))
             entry.update({
                 "bound": bound,
                 "relative_iqr": relative,
                 "within_bound": change <= limit if lower else change >= limit,
                 "unresolved": (relative["parent"] is None or relative["parent"] > bound)
-                              and won < len(pairs),
+                              and not separated,
             })
     return summary
 
@@ -355,7 +364,8 @@ def _print_summary(label: str, summary: dict) -> None:
             continue
         print(f"{label:9s} {name:12s} parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g}  won {s['change_better_pairs']}/"
-              f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}" + _verdict(s))
+              f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}"
+              f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}" + _verdict(s))
 
 
 def main(argv=None) -> int:
