@@ -199,15 +199,15 @@ def extract_bandwidth(spectrum: Spectrum) -> BandwidthResult:
 
     The width is measured between the outermost crossings of half the
     global maximum of |T21|^2, each refined by bisection on the
-    spectrum's evaluator to 1e-6 (in grid frequency units).  The
-    bisection is batched: the evaluator is called at the two grid points
-    around each crossing, then once per round on an array of midpoints,
-    which gives the scalar loop's result bit for bit.  When the evaluator
-    disagrees with the samples so that a pair of grid points does not
-    bracket half-max, a RuntimeWarning is emitted and the nearer point is
-    used.  Ripple
-    inside the passband is reported as ``passband_min``, the smallest
-    |T21|^2 between the outermost local maxima that exceed half-max.
+    spectrum's evaluator to 2^-13 of the grid step, so the width scales
+    with the rates and the grid.  The bisection is batched: the evaluator
+    is called at the two grid points around each crossing, then once per
+    round on an array of midpoints, which gives the scalar loop's result
+    bit for bit.  When the evaluator disagrees with the samples so that a
+    pair of grid points does not bracket half-max, a RuntimeWarning is
+    emitted and the nearer point is used.  Ripple inside the passband is
+    reported as ``passband_min``, the smallest |T21|^2 between the
+    outermost local maxima that exceed half-max.
     """
     w = spectrum.grid.points()
     peak, half, i_first, i_last, passband_min = _halfmax(np.abs(spectrum.t21) ** 2)
@@ -252,23 +252,24 @@ def _halfmax(v: np.ndarray):
     return peak, half, i_first, i_last, float(v[peaks[0]:peaks[-1] + 1].min())
 
 
-_TREE_DEPTH = 7
+_ROUNDS = (7, 6)  # 13 halvings of each grid bracket, in two array calls
 
 
-def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
+def _bisect_crossings(evaluator, half: float, brackets):
     """Crossings of |T21|^2 = ``half`` in the (lower, upper) ``brackets``.
 
-    Gives bit for bit what bisecting each bracket with one scalar
-    ``evaluator`` call per midpoint gives, from fewer calls.  The two ends
-    of each bracket are scalar calls, and they decide whether the bracket
-    holds; when it does not, the nearer end is returned, with a
-    RuntimeWarning naming the crossing unless that end is within rounding
-    of half-max.  Then each round evaluates, for every open bracket, all
-    midpoints the next ``_TREE_DEPTH`` steps could visit, in one array
-    call, and replays the loop's decisions through them.  This is
+    Gives bit for bit what 13 halvings of each bracket (2^-13 of the grid
+    step) with one scalar ``evaluator`` call per midpoint give, from fewer
+    calls.  The two ends of each bracket are scalar calls, and they decide
+    whether the bracket holds; when it does not, the nearer end is
+    returned, with a RuntimeWarning naming the crossing unless that end is
+    within rounding of half-max.  Then each of the ``_ROUNDS`` evaluates,
+    for every open bracket, all midpoints its halvings could visit, in one
+    array call, and replays the loop's decisions through them.  This is
     exact because the cascade gives the same bits at a scalar frequency as
-    at that frequency inside an array.  Where the loop would never end, at
-    adjacent floats more than ``tol`` apart, it ends at their midpoint.
+    at that frequency inside an array.  A midpoint on half-max is the
+    root; a bracket of adjacent floats, which cannot shrink, ends at its
+    midpoint.
     """
     def excess(value) -> float:
         return abs(complex(value)) ** 2 - half
@@ -291,18 +292,18 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
                     f"is {fa:.3g} and {fb:.3g} there; returning the nearer end",
                     RuntimeWarning, stacklevel=3)
             roots[k] = a if abs(fa) < abs(fb) else b
-        elif b - a > tol:
-            open_[k] = (a, fa, b, fb)
         else:
-            roots[k] = 0.5 * (a + b)
-    while open_:
-        trees = {k: _midpoints(a, b, tol) for k, (a, _, b, _) in open_.items()}
+            open_[k] = (a, fa, b, fb)
+    for depth in _ROUNDS:
+        if not open_:
+            break
+        trees = {k: _midpoints(a, b, depth) for k, (a, _, b, _) in open_.items()}
         values = evaluator(np.concatenate(list(trees.values())))
         offset = 0
         for k, mids in trees.items():
             a, fa, b, fb = open_.pop(k)
             i = 0
-            while i < len(mids) and b - a > tol:
+            while i < len(mids):
                 m, fm = mids[i], excess(values[offset + i])
                 if fm == 0:
                     roots[k] = m
@@ -314,24 +315,19 @@ def _bisect_crossings(evaluator, half: float, brackets, tol: float = 1e-6):
                     b, fb, i = m, fm, 2 * i + 1
                 else:
                     a, fa, i = m, fm, 2 * i + 2
-            else:
-                if b - a > tol:
-                    open_[k] = (a, fa, b, fb)
-                else:
-                    roots[k] = 0.5 * (a + b)
+            else:  # the next round refines this midpoint, if one is left
+                open_[k], roots[k] = (a, fa, b, fb), 0.5 * (a + b)
             offset += len(mids)
     return roots
 
 
-def _midpoints(a, b, tol):
-    """Every midpoint bisecting [a, b] can visit in its next steps, formed as
-    the loop forms them, in heap order: the halves of node i start at nodes
-    2i+1 (lower) and 2i+2 (upper).  The depth is ``_TREE_DEPTH``, or the
-    number of halvings that bring b - a to ``tol`` when that is fewer.
+def _midpoints(a, b, depth):
+    """Every midpoint the next ``depth`` halvings of [a, b] can visit, formed
+    as the loop forms them, in heap order: the halves of node i start at
+    nodes 2i+1 (lower) and 2i+2 (upper).
 
     Each level keeps its sorted bracket ends ``e``; the next level's ends
     interleave ``e`` with the midpoints of its neighbours."""
-    depth = min(_TREE_DEPTH, math.ceil(math.log2((b - a) / tol)))
     e, levels = np.array([a, b]), []
     for _ in range(depth):
         mid = 0.5 * (e[:-1] + e[1:])

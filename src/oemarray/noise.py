@@ -159,31 +159,34 @@ def _band_window(t21_at, grid, center):
     return center - fwhm / 2, center + fwhm / 2
 
 
-def _adaptive_trapezoid(f, lo, hi, rtol=1e-4, max_doublings=12):
+_RTOL, _MAX_DOUBLINGS = 1e-4, 12
+
+
+def _adaptive_trapezoid(f, lo, hi):
     """Trapezoid rule for the integral of ``f`` over [lo, hi] on 65, 129,
-    257, ... points, until two successive estimates agree to ``rtol``.
+    257, ... points, until two successive estimates agree to ``_RTOL``.
 
     The rule is nested: each doubling evaluates ``f`` only at the new
     midpoints and adds them to half the previous estimate.  If
-    ``max_doublings`` doublings do not converge, a RuntimeWarning names the
-    window and the last two estimates, and the last one is returned.
+    ``_MAX_DOUBLINGS`` doublings do not converge, a RuntimeWarning names
+    the window and the last two estimates, and the last one is returned.
     """
     _number("window[1]", hi, gt=_number("window[0]", lo))
     n = 65
     h = (hi - lo) / (n - 1)
     vals = f(np.linspace(lo, hi, n))
     best = h * (np.sum(vals, axis=-1) - 0.5 * (vals[..., 0] + vals[..., -1]))
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         n = 2 * n - 1
         h /= 2
         new = 0.5 * best + h * np.sum(f(np.linspace(lo, hi, n)[1::2]), axis=-1)
         scale = np.maximum(np.max(np.abs(new)), 1e-300)
-        if np.max(np.abs(new - best)) <= rtol * scale:
+        if np.max(np.abs(new - best)) <= _RTOL * scale:
             return new
         prev, best = best, new
     warnings.warn(
         f"trapezoid rule over [{float(lo)!r}, {float(hi)!r}] did not converge to "
-        f"rtol {rtol:g} in {max_doublings} doublings ({n} points): the last two "
+        f"rtol {_RTOL:g} in {_MAX_DOUBLINGS} doublings ({n} points): the last two "
         f"estimates are {prev} and {best}; returning the last",
         RuntimeWarning, stacklevel=3)
     return best

@@ -341,7 +341,7 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
     # and resolve them by ripple floor, then smallest profile in
     # lexicographic order, which prefers the monotone ramp.
     pool = [c for c in candidates if c.converged] or candidates
-    tol_bw = max(1e-6, 1e-3 * problem.gamma_total)
+    tol_bw = 1e-3 * problem.gamma_total
     best_bw = max(c.bandwidth for c in pool)
     near = [c for c in pool if c.bandwidth >= best_bw - tol_bw]
     best_pb = max(c.passband_min for c in near)
@@ -414,12 +414,13 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     y = np.concatenate([[0.0], prof, [gamma_total]])
     d = np.arange(0, n + 2) / (n + 1)
 
-    def sse(beta: float) -> float:
-        model = gamma_total / 2 * (np.tanh(beta * (d - 0.5)) + 1.0)
-        return float(np.sum((y - model) ** 2))
+    def sse(beta):
+        # one sum per beta; an array of betas is scanned in one broadcast
+        model = gamma_total / 2 * (np.tanh(np.multiply.outer(beta, d - 0.5)) + 1.0)
+        return np.sum((y - model) ** 2, axis=-1)
 
     betas = np.logspace(-2, 1.8, 200)
-    coarse = min(betas, key=sse)
+    coarse = betas[np.argmin(sse(betas))]
     res = minimize_scalar(sse, bounds=(coarse / 2, coarse * 2),
                           method="bounded",
                           options={"xatol": 1e-10})

@@ -286,9 +286,9 @@ class TestExtractBandwidth:
             Spectrum(grid=FrequencyGrid(-1.0, 1.0, 801), t21=sp.t21, evaluator=sp.evaluator)
 
 
-def _bisect_crossing_reference(f, a, b, tol=1e-6):
-    # the scalar loop extract_bandwidth used before its batched replay,
-    # kept verbatim as the bit-for-bit reference
+def _bisect_crossing_reference(f, a, b):
+    # the scalar loop the batched replay must reproduce bit for bit: 13
+    # halvings of the grid bracket, one evaluator call per midpoint
     fa, fb = f(a), f(b)
     if fa == 0:
         return a
@@ -297,7 +297,7 @@ def _bisect_crossing_reference(f, a, b, tol=1e-6):
     if fa * fb > 0:
         # the grid bracketed the crossing; fall back to the closer endpoint
         return a if abs(fa) < abs(fb) else b
-    while b - a > tol:
+    for _ in range(13):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0:
@@ -367,14 +367,13 @@ class TestBatchedBisection:
         # level by level, as the scalar loop forms them: each bracket [lo, hi]
         # of a level gives its midpoint and the two halves of the next level
         a, b = 0.1, 0.3
-        tol = 1.5 * (b - a) / 2 ** depth  # depth halvings bring b - a below it
         brackets, expected = [(a, b)], []
         for _ in range(depth):
             mids = [0.5 * (lo + hi) for lo, hi in brackets]
             expected += mids
             brackets = [half for (lo, hi), m in zip(brackets, mids)
                         for half in ((lo, m), (m, hi))]
-        tree = cascade._midpoints(a, b, tol)
+        tree = cascade._midpoints(a, b, depth)
         assert len(tree) == 2 ** depth - 1
         assert tree.tolist() == expected
 
@@ -394,15 +393,19 @@ class TestBatchedBisection:
         assert _bisect_crossings(counted, 0.25, [(0.0, 1.0)]) == [r]
         assert counted.array_calls == 2
 
-    def test_bracket_already_within_tolerance(self):
+    def test_narrow_bracket_takes_both_rounds(self):
+        # the halvings count from the bracket, not from an absolute width:
+        # a bracket of 5e-7 takes the same two rounds as a grid step of 4e-3
         a, b = 0.1, 0.1 + 5e-7
         counted = _CountingEvaluator(lambda w: np.sqrt(np.asarray(w)) + 0j)
-        assert _bisect_crossings(counted, 0.1 + 2.5e-7, [(a, b)]) == [0.5 * (a + b)]
-        assert counted.sizes == [1, 1]
+        ref = _bisect_crossing_reference(
+            lambda x: abs(complex(np.sqrt(x))) ** 2 - (0.1 + 2.5e-7), a, b)
+        assert _bisect_crossings(counted, 0.1 + 2.5e-7, [(a, b)]) == [ref]
+        assert counted.sizes == [1, 1, 127, 63]
 
     def test_adjacent_float_bracket_ends(self):
-        # at |omega| ~ 1e10 neighbouring floats are 2e-6 apart, wider than the
-        # tolerance, so halving stops at the bracket of two adjacent floats
+        # a bracket two floats wide halves once, to two adjacent floats,
+        # which no further halving can shrink
         a = 1e10
         b = np.nextafter(np.nextafter(a, np.inf), np.inf)
         mid = 0.5 * (a + b)
@@ -416,8 +419,8 @@ class TestBatchedBisection:
         assert _bisect_crossings(counted, 0.5, [(a, b)]) == [0.5 * (a + mid)]
         assert counted.array_calls == 1
 
-    def test_coarse_grid_takes_three_rounds(self):
-        # a grid step of 0.04 needs 16 halvings to reach 1e-6: 7 + 7 + 2
+    def test_coarse_grid_takes_two_rounds(self):
+        # a grid step of 0.04 takes the same 13 halvings, 7 + 6, as any other
         sp = eliminated_spectrum([EliminatedSite(0.25, 0.25)],
                                  FrequencyGrid(-2.0, 2.0, 101))
         lo, hi = _reference_crossings(sp)
@@ -425,7 +428,7 @@ class TestBatchedBisection:
         sp.evaluator = counted
         bw = extract_bandwidth(sp)
         assert (bw.omega_lo, bw.omega_hi) == (lo, hi)
-        assert counted.array_calls >= 3
+        assert counted.sizes == [1, 1, 1, 1, 2 * 127, 2 * 63]
 
     def test_readme_spectrum_evaluator_calls(self):
         # the README's N = 200 spectrum: four scalar bracket ends and two
@@ -464,6 +467,17 @@ class TestBatchedBisection:
             warnings.simplefilter("error")
             bw = eliminated_bandwidth([0.28118072050439247 * 0.02], 0.02)
         assert bw.omega_lo == -0.04000000000000001
+
+
+def test_bandwidth_is_scale_free():
+    # every rate and the grid scale together, so the width in units of the
+    # cavity linewidth must not move
+    widths = []
+    for s in (1e-150, 1.0, 3e5):
+        sp = conversion_spectrum(tanh_config(20, g=0.08 * s, kappa1=s, kappa2=s),
+                                 FrequencyGrid(-2.5 * s, 2.5 * s, 1201))
+        widths.append(extract_bandwidth(sp).fwhm / s)
+    np.testing.assert_allclose(widths, widths[1], rtol=1e-9, atol=0)
 
 
 class TestBandwidthAnalytic:
