@@ -274,24 +274,23 @@ def cmd_backscatter(args, doc: dict):
 
 
 def cmd_optimize(args, doc: dict):
-    """Also returns exit code 4 when no profile meets the passband floor."""
+    """Also returns exit code 4 when the optimizer finds no profile with
+    every in-band trough on the passband floor."""
     n = _as_int(_pick(args, "n", doc, "n_sites", 2), "n_sites")
     gamma_total = _as_float(_pick(args, "gamma_total", doc, "gamma_total", 0.05),
                             "gamma_total")
     min_eff = _as_float(_pick(args, "min_eff", doc, "min_efficiency", 0.99),
                         "min_efficiency")
-    seed = _as_int(_pick(args, "seed", doc, "seed", 97), "seed")
-    starts = _as_int(_pick(args, "starts", doc, "starts", 3), "starts")
     problem = OptimizationProblem(n_sites=n, gamma_total=gamma_total,
                                   min_efficiency=min_eff)
-    result = optimize_couplings(problem, n_random_starts=starts, seed=seed)
+    result = optimize_couplings(problem)
     config = {"problem": {"n_sites": n, "gamma_total": gamma_total,
-                          "min_efficiency": min_eff},
-              "seed": seed, "starts": starts}
+                          "min_efficiency": min_eff}}
     writers = {".json": partial(result_to_json, problem, result)}
     if not result.converged:
-        print(f"optimization infeasible: passband floor {result.passband_min:.6g} "
-              f"< required {min_eff:.6g}", file=sys.stderr)
+        print(f"optimization infeasible: no profile with every trough on the floor "
+              f"(passband floor {result.passband_min:.6g}, required {min_eff:.6g})",
+              file=sys.stderr)
         return config, writers, 4
     return config, writers
 
@@ -385,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of array sites")
     p.add_argument("--gamma-total", type=float, help="summed conversion rate")
     p.add_argument("--min-eff", type=float, help="passband efficiency floor")
-    p.add_argument("--seed", type=int, help="random-restart seed (default 97)")
-    p.add_argument("--starts", type=int, help="number of random restarts (default 3)")
     p.set_defaults(func=cmd_optimize)
 
     return parser

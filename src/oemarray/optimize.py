@@ -1,4 +1,5 @@
-"""Constrained bandwidth maximization over mirror-symmetric coupling ramps.
+"""Widest conversion band over mirror-symmetric coupling ramps, as an
+equiripple solve.
 
 The search runs in the cavity-eliminated picture, where each site is a
 mechanical resonance with two external rates summing to a fixed budget G.
@@ -11,15 +12,15 @@ kernel call.  Each site is unitary on the circle, so the coefficients'
 squares sum to the mean of |T21|^2, at most 1, and the rounding does not
 grow with N.
 
-The objective is the conversion FWHM of the spectrum sampled on a grid,
-with crossings interpolated between grid points, and each in-band ripple
-trough is held above a floor by an inequality constraint.  All are
-piecewise smooth in the rate fractions, with exact gradients, so each start
-is one gradient-based SLSQP solve.  A brute-force grid oracle covers the
-small arrays, and profiles can be summarized by their best-fit tanh
-steepness.  scipy imports stay inside the functions that call them, since
-every CLI run would otherwise pay them at start-up (``scipy.optimize``
-takes about 0.6 s to import, ``scipy.linalg`` alone about 0.5 s).
+The widest band whose in-band ripple stays above a floor is equiripple
+(Chebyshev): under the mirror symmetry its m = N // 2 troughs at w >= 0 all
+sit on the floor, m equations in the m free rate fractions (the alternation
+that Parks & McClellan, IEEE Trans. Circuit Theory 19, 189 (1972), solve
+for).  One damped Newton solve of that system, from a tanh ramp, finds it.
+Each trough is located on a grid uniform in the phase of zeta and refined to
+a stationary point of the polynomial, so the floor holds between samples
+too.  A brute-force grid oracle covers the small arrays, and profiles can
+be summarized by their best-fit tanh steepness.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 _FRAC_FLOOR = 1e-4
+_START_BETA = 4.5     # steepness of the tanh ramp the solve starts from
+_TOL = 1e-12          # |trough - floor| at which the solve stops
+_MAX_STEPS = 40
+_HALVINGS = 8         # step halvings before the solve gives up
+_REFINE_STEPS = 3     # Newton steps from a grid sample to a stationary point
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,9 @@ class OptimizationProblem:
 class OptimizationResult:
     """Best profile of a search.
 
-    ``evaluations`` counts surrogate evaluations: distinct clipped profiles
-    within each local search, summed over the starts (a profile the search
-    revisits is looked up, not computed again).
+    ``passband_min`` is the smallest in-band trough of |T21|^2, refined
+    between grid points (the peak when the band has no trough), and
+    ``evaluations`` counts the profiles whose troughs the search computed.
     """
 
     gamma1_per_site: Tuple[float, ...]
@@ -147,62 +153,125 @@ def _search_grid(problem: OptimizationProblem):
     return w, np.cumprod([np.ones_like(zeta)] + [zeta] * problem.n_sites, axis=0)
 
 
+def _circle(n: int) -> np.ndarray:
+    """zeta^k in row k, k = 0 .. n, at 1201 points zeta = e^(i phi) with phi
+    uniform on [0, 2 pi]: w runs from -inf through 0, at the middle index,
+    to +inf.  |T21|^2 is a trigonometric polynomial of degree n in phi, so
+    these samples resolve every ripple, 1200 / n to its period.  The points
+    of ``_search_grid``, uniform in w, are sparse in phi near w = 0, where
+    20 sites leave about two to a period."""
+    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 1201))
+    return np.cumprod([np.ones_like(zeta)] + [zeta] * n, axis=0)
+
+
+def _coefficients(fracs: np.ndarray) -> np.ndarray:
+    """T21's coefficients in powers of zeta, which are real: the imaginary
+    parts of the last column's."""
+    return np.array(_columns(fracs)[-1]).imag
+
+
+def _samples(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """|T21|^2 at the grid points whose powers of zeta ``basis`` holds."""
+    v = (coef @ basis.view(float)) ** 2
+    return v[0::2] + v[1::2]
+
+
 def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, grid):
-    """(fwhm, passband_min, troughs, derivatives) of the sampled spectrum.
-
-    Crossings are linearly interpolated between grid points; this is the
-    cheap surrogate the local search iterates on, while final reporting
-    goes through the bisection-refined extractor.  ``grid`` is
-    ``_search_grid(problem)``.
-
-    The troughs are the N - 1 lowest local minima of the samples within the
-    half-max span, ascending (the first is passband_min), padded with the
-    peak when there are fewer.  The floor is the smallest trough, and the
-    troughs are what an optimal ramp holds at the floor together, so a
-    constraint on each of them is smooth where one on their minimum has a
-    kink.
-
-    ``derivatives()`` returns (d_fwhm, d_troughs): the FWHM's gradient in
-    the rate fractions, and trough k's in row k, computed only on that call,
-    since SLSQP's line search needs values alone.  Each crossing is
-    differentiated through its interpolation formula, with the half level
-    as half the peak sample, so T21's derivatives are needed only at the
-    crossings' four samples, the peak and the troughs.
-    """
-    w, basis = grid
-    # T21's coefficients are real: the imaginary parts of the last column's
-    pairs = np.array(_columns(fracs)[-1]).imag @ basis.view(float)
-    t21, v = pairs.view(complex), pairs ** 2
-    v = v[0::2] + v[1::2]
-    n_troughs = max(len(fracs) - 1, 1)
+    """(fwhm, passband_min) of the spectrum sampled on ``grid``, which is
+    ``_search_grid(problem)``, with crossings linearly interpolated between
+    grid points: the cheap surrogate that ``grid_oracle`` scans."""
+    w = grid[0]
+    v = _samples(_coefficients(fracs), grid[1])
     try:
         _, half, i0, i1, pb_min = _halfmax(v)
     except SpectrumError:
-        return 0.0, 0.0, np.zeros(n_troughs), lambda: (
-            np.zeros(len(fracs)), np.zeros((n_troughs, len(fracs))))
-    # v[i0 - 1] and v[i1 + 1] lie below half, so neither end is a minimum
-    span = v[i0:i1 + 1]
-    troughs = ((span <= v[i0 - 1:i1]) & (span < v[i0 + 1:i1 + 2])).nonzero()[0] + i0
-    troughs = troughs[np.argsort(v[troughs], kind="stable")][:n_troughs].tolist()
-    i_peak = int(np.argmax(v))
-    idx = np.array([i0 - 1, i0, i1, i1 + 1, i_peak] + troughs
-                   + [i_peak] * (n_troughs - len(troughs)))
-    # the samples the derivatives need, so that a search's memo does not
-    # hold on to the whole spectrum of every profile
-    t_at, v_at, w_at = t21[idx], v[idx], w[idx]
-    # the lower crossing lies between samples 0 and 1, the upper between 2 and 3
-    lo, hi = slice(0, 3, 2), slice(1, 4, 2)
+        return 0.0, 0.0
+    (wa, wb, wc, wd), (va, vb, vc, vd) = w[[i0 - 1, i0, i1, i1 + 1]], v[[i0 - 1, i0, i1, i1 + 1]]
+    return float(wc + (half - vc) * (wd - wc) / (vd - vc)
+                 - (wa + (half - va) * (wb - wa) / (vb - va))), pb_min
 
-    def derivatives():
-        run, rise, below = w_at[hi] - w_at[lo], v_at[hi] - v_at[lo], half - v_at[lo]
-        dv = _t21_jacobian(fracs) @ (2 * (t_at.conjugate() * basis[:, idx]).real)
-        dva, dvb = dv[:, lo], dv[:, hi]
-        dcross = run * ((dv[:, 4:5] / 2 - dva) * rise - below * (dvb - dva)) / rise ** 2
-        return dcross[:, 1] - dcross[:, 0], dv[:, 5:].T
 
-    (wa, wb, wc, wd), (va, vb, vc, vd) = w_at[:4].tolist(), v_at[:4].tolist()
-    fwhm = wc + (half - vc) * (wd - wc) / (vd - vc) - (wa + (half - va) * (wb - wa) / (vb - va))
-    return fwhm, pb_min, v_at[5:], derivatives
+def _troughs(coef: np.ndarray, circle: np.ndarray, peak: bool = False):
+    """(values, t21, powers) at the in-band troughs with w >= 0: |T21|^2 and
+    T21 there, and zeta^k in row k.
+
+    Each trough is a local minimum of the samples on ``circle``, which is
+    ``_circle(N)``, between the half-max crossings, refined by Newton steps
+    on dR/dtheta, R = |sum c_k e^(ik theta)|^2, to the polynomial's
+    stationary point.  With ``peak``, a band without a trough gives its
+    refined maximum instead.  Raises SpectrumError when the samples are not
+    finite or have no positive maximum.
+    """
+    v = _samples(coef, circle)
+    _, _, i0, i1, _ = _halfmax(v)
+    lo = max(i0, len(v) // 2)
+    mid = v[lo:i1 + 1]
+    idx = np.flatnonzero((mid <= v[lo - 1:i1]) & (mid < v[lo + 1:i1 + 2])) + lo
+    if peak and not len(idx):
+        idx = np.argmax(v)[None]
+    k = np.arange(len(coef))
+    # p = sum c_k e^(ik theta) and its first two derivatives in theta
+    derivs = np.array([coef, 1j * k * coef, -k * k * coef])
+    theta = idx * (2 * np.pi / (len(v) - 1))
+    for _ in range(_REFINE_STEPS):
+        p, dp, ddp = derivs @ np.exp(1j * np.multiply.outer(k, theta))
+        # dR/dtheta = 2 Re(p* p') and d2R/dtheta2 = 2 (|p'|^2 + Re(p* p''))
+        theta = theta - (p.conjugate() * dp).real / (
+            dp.real ** 2 + dp.imag ** 2 + (p.conjugate() * ddp).real)
+    powers = np.exp(1j * np.multiply.outer(k, theta))
+    t21 = coef @ powers
+    return t21.real ** 2 + t21.imag ** 2, t21, powers
+
+
+def _trough_gradients(fracs: np.ndarray, t21: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """d|T21|^2/df_j at each trough, in row i, from T21 and zeta^k there as
+    ``_troughs`` returns them: 2 Re(T21* dT21/df_j).  At a trough
+    dR/dtheta = 0, so the trough's own motion adds nothing."""
+    return 2 * (t21.conjugate()[:, None] * (powers.T @ _t21_jacobian(fracs).T)).real
+
+
+def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
+    """(free fractions, evaluations, solved) of the Newton solve of
+    troughs = floor from the tanh ramp of steepness ``_START_BETA``.
+
+    The Jacobian is ``_trough_gradients``, mirrored into the free
+    fractions.  A step is halved until it lowers the largest residual and
+    keeps the ramp monotone, free fractions increasing and below 1/2: the
+    equations also hold on rearranged profiles with the same |T21|^2,
+    which full steps reach at low floors.  The solve fails when no halving
+    does, or when the start lacks one of the m troughs.
+    """
+    n, floor = problem.n_sites, problem.min_efficiency
+    m = n // 2
+    d = np.arange(1, m + 1) / (n + 1)
+
+    def residuals(x):
+        """(fracs, troughs - floor, T21 and zeta^k there, largest |residual|),
+        the last infinite unless there are exactly m troughs."""
+        fracs = _mirror_fractions(x, n)
+        v, t21, powers = _troughs(_coefficients(fracs), circle)
+        r = v - floor
+        return fracs, r, t21, powers, np.max(np.abs(r)) if len(r) == m else np.inf
+
+    x = _clip(0.5 * (np.tanh(_START_BETA * (d - 0.5)) + 1.0))
+    fracs, r, t21, powers, worst = residuals(x)
+    evaluations = 1
+    for _ in range(_MAX_STEPS):
+        if worst <= _TOL or worst == np.inf:
+            break
+        d_r = _trough_gradients(fracs, t21, powers)
+        # the mirror sets f_(N-1-i) = 1 - x_i
+        step = np.linalg.lstsq(d_r[:, :m] - d_r[:, ::-1][:, :m], -r, rcond=None)[0]
+        for halving in range(_HALVINGS + 1):
+            trial = _clip(x + step / 2 ** halving)
+            evaluations += 1
+            out = residuals(trial)
+            if out[-1] < worst and np.all(np.diff(trial) > 0) and trial[-1] < 0.5:
+                break
+        else:
+            break
+        x, (fracs, r, t21, powers, worst) = trial, out
+    return x, evaluations, worst <= _TOL
 
 
 def eliminated_bandwidth(gamma1_per_site: Sequence[float],
@@ -224,129 +293,49 @@ def eliminated_bandwidth(gamma1_per_site: Sequence[float],
                 raise
 
 
-def _start_profiles(problem: OptimizationProblem, n_random: int,
-                    seed: int) -> List[np.ndarray]:
-    n = problem.n_sites
-    m = n // 2
-    d = np.arange(1, m + 1) / (n + 1)
-    starts = [np.full(m, 0.5), d.copy()]
-    for beta in (2.0, 4.5, 8.0):
-        starts.append(0.5 * (np.tanh(beta * (d - 0.5)) + 1.0))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        starts.append(rng.uniform(0.02, 0.5, size=m))
-    return starts
-
-
-def _local_search(start: np.ndarray, problem: OptimizationProblem):
-    from scipy.optimize import minimize
-
-    grid = _search_grid(problem)
-    m = len(start)
-    # the surrogate by clipped profile, computed once per search: SLSQP asks
-    # for the objective and the constraint at every trial point of its line
-    # search, and for their gradients at its iterates only
-    values, gradients = {}, {}
-
-    def metrics(x: np.ndarray, gradient: bool = False):
-        """(fwhm, passband_min, troughs) at ``x``, or with ``gradient`` the
-        gradients (d_fwhm, d_troughs) in the free fractions."""
-        xc = _clip(x)
-        key = xc.tobytes()
-        if key not in values:
-            values[key] = _grid_metrics(_mirror_fractions(xc, problem.n_sites), problem, grid)
-        if not gradient:
-            return values[key]
-        if key not in gradients:
-            d_fwhm, d_troughs = values[key][3]()
-            # the mirror sets f_{N-1-i} = 1 - x_i
-            gradients[key] = (d_fwhm[:m] - d_fwhm[::-1][:m],
-                              d_troughs[:, :m] - d_troughs[:, ::-1][:, :m])
-        return gradients[key]
-
-    # the width in units of the budget, since SLSQP's ftol is absolute.  With
-    # a constraint per trough the ramp starts converge in 13-45 iterations
-    # for N = 6 to 20; the cap stops random starts that wander among
-    # infeasible profiles
-    scale = -1.0 / problem.gamma_total
-    res = minimize(
-        lambda x: scale * metrics(x)[0], start.astype(float),
-        jac=lambda x: scale * metrics(x, gradient=True)[0], method="SLSQP",
-        bounds=[(_FRAC_FLOOR, 1 - _FRAC_FLOOR)] * m,
-        constraints=[{"type": "ineq",
-                      "fun": lambda x: metrics(x)[2] - problem.min_efficiency,
-                      "jac": lambda x: metrics(x, gradient=True)[1]}],
-        options={"ftol": 1e-12, "maxiter": 50})
-    x = _clip(res.x)
-
-    # the solve can stop a hair below the ripple floor on this piecewise
-    # smooth surrogate; Newton steps along the floor's gradient restore it
-    for _ in range(12):
-        deficit = problem.min_efficiency - metrics(x)[1]
-        if deficit <= 0:
-            break
-        grad = metrics(x, gradient=True)[1][0]
-        norm2 = float(grad @ grad)
-        if norm2 < 1e-12:
-            break
-        x = _clip(x + (1.2 * deficit / norm2) * grad)
-    return x, len(values)
-
-
-def _finalize(fracs: np.ndarray, problem: OptimizationProblem,
-              evals: int) -> OptimizationResult:
+def _finalize(fracs: np.ndarray, problem: OptimizationProblem, circle: np.ndarray,
+              evals: int, solved: bool = True) -> OptimizationResult:
+    """The result for free fractions ``fracs``: the bisection-refined width,
+    and the smallest refined trough as the floor, on which, with
+    ``solved``, convergence is judged."""
     profile = _mirror_fractions(fracs, problem.n_sites)
     gamma1 = tuple(float(f) * problem.gamma_total for f in profile)
     try:
         bw = eliminated_bandwidth(gamma1, problem.gamma_total)
+        pb_min = float(_troughs(_coefficients(profile), circle, peak=True)[0].min())
     except SpectrumError:
         return OptimizationResult(gamma1_per_site=gamma1, bandwidth=0.0,
                                   passband_min=0.0, converged=False,
                                   evaluations=evals)
-    feasible = bw.passband_min >= problem.min_efficiency - 1e-6
     return OptimizationResult(
-        gamma1_per_site=gamma1, bandwidth=float(bw.fwhm),
-        passband_min=float(bw.passband_min), converged=bool(feasible),
+        gamma1_per_site=gamma1, bandwidth=float(bw.fwhm), passband_min=pb_min,
+        converged=solved and pb_min >= problem.min_efficiency - 1e-6,
         evaluations=evals)
 
 
 def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
                        seed: int = 97, workers: int = 1) -> OptimizationResult:
-    """Multi-start constrained search for the widest conversion band.
+    """Widest conversion band with every in-band trough on the floor.
 
-    From each of five ramp-shaped starting profiles and ``n_random_starts``
-    random ones, one SLSQP solve maximizes the sampled-spectrum FWHM with
-    every ripple trough held above the floor, all gradients exact (from the
-    sites' polynomial, at each profile where the solver asks for a
-    gradient); a few Newton steps along the floor's gradient then
-    lift an endpoint that stopped just below the floor.  Each endpoint is
-    refined by bisection, and the best feasible one is reported.  The starts
-    run one after another; ``workers`` must be 1.
+    One Newton solve of the equiripple condition (see the module
+    docstring), from a tanh ramp, with the exact Jacobian; the result's
+    width is then refined on the cascade by bisection.  ``converged`` is
+    false when the solve fails or the refined floor misses
+    ``min_efficiency`` by more than 1e-6.
+
+    ``n_random_starts``, ``seed`` and ``workers`` keep their input checks
+    (``workers`` must be 1), and nothing reads them: the benchmark's
+    traced call passes them, and they go with the benchmark revision of
+    ROADMAP item 1(a).
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the search is serial")
     _count("n_random_starts", n_random_starts, 0)
+    circle = _circle(problem.n_sites)
     if problem.n_sites == 1:
-        return _finalize(np.empty(0), problem, evals=1)
-
-    starts = _start_profiles(problem, n_random_starts, seed)
-    outcomes = [_local_search(s, problem) for s in starts]
-
-    total_evals = sum(e for _, e in outcomes)
-    candidates = [_finalize(x, problem, total_evals) for x, _ in outcomes]
-
-    # the constrained maximum is a degenerate ridge: rearranged and even
-    # rebalanced profiles reach the same bandwidth, and restarts land on
-    # it with ~1e-5 solver scatter.  Treat near-equal bandwidths as ties
-    # and resolve them by ripple floor, then smallest profile in
-    # lexicographic order, which prefers the monotone ramp.
-    pool = [c for c in candidates if c.converged] or candidates
-    tol_bw = 1e-3 * problem.gamma_total
-    best_bw = max(c.bandwidth for c in pool)
-    near = [c for c in pool if c.bandwidth >= best_bw - tol_bw]
-    best_pb = max(c.passband_min for c in near)
-    near = [c for c in near if c.passband_min >= best_pb - 1e-4]
-    return min(near, key=lambda c: c.gamma1_per_site)
+        return _finalize(np.empty(0), problem, circle, evals=1)
+    x, evaluations, solved = _equiripple(problem, circle)
+    return _finalize(x, problem, circle, evaluations, solved)
 
 
 def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
@@ -358,16 +347,16 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
     """
     if problem.n_sites > 3:
         raise ValueError("grid oracle only covers n_sites <= 3")
+    grid, circle = _search_grid(problem), _circle(problem.n_sites)
     if problem.n_sites == 1:
-        return _finalize(np.empty(0), problem, evals=1)
+        return _finalize(np.empty(0), problem, circle, evals=1)
 
     evals = 0
-    grid = _search_grid(problem)
 
     def objective(f: float) -> float:
         nonlocal evals
         evals += 1
-        fwhm, pb, *_ = _grid_metrics(
+        fwhm, pb = _grid_metrics(
             _mirror_fractions(np.array([f]), problem.n_sites), problem, grid)
         if fwhm <= 0 or pb < problem.min_efficiency - 1e-9:
             return -np.inf
@@ -377,7 +366,7 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
     fs = np.arange(1, 201) * step
     scores = np.array([objective(f) for f in fs])
     if not np.any(np.isfinite(scores)):
-        return _finalize(np.array([0.5]), problem, evals)
+        return _finalize(np.array([0.5]), problem, circle, evals)
     f_best = fs[int(np.argmax(scores))]
 
     lo, hi = max(step / 2, f_best - step), min(0.5, f_best + step)
@@ -389,7 +378,7 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
         else:
             hi = m2
     f_best = (lo + hi) / 2
-    return _finalize(np.array([f_best]), problem, evals)
+    return _finalize(np.array([f_best]), problem, circle, evals)
 
 
 def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float:
@@ -399,8 +388,6 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     are appended before fitting, anchoring the ramp shape even for short
     arrays.
     """
-    from scipy.optimize import minimize_scalar
-
     prof = np.asarray(gamma1_per_site, dtype=float)
     n = len(prof)
     if n < 3:
@@ -421,10 +408,15 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
 
     betas = np.logspace(-2, 1.8, 200)
     coarse = betas[np.argmin(sse(betas))]
-    res = minimize_scalar(sse, bounds=(coarse / 2, coarse * 2),
-                          method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x)
+    # each round scans 65 points of the bracket and keeps the two intervals
+    # around the smallest, so the bracket shrinks 32-fold
+    lo, hi = coarse / 2, coarse * 2
+    u = np.linspace(0.0, 1.0, 65)
+    while hi - lo > 1e-10:
+        betas = lo + (hi - lo) * u
+        i = int(np.argmin(sse(betas)))
+        lo, hi = betas[max(i - 1, 0)], betas[min(i + 1, 64)]
+    return float((lo + hi) / 2)
 
 
 def result_to_json(problem: OptimizationProblem, result: OptimizationResult,

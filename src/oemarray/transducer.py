@@ -32,7 +32,6 @@ __all__ = [
     "scattering_eliminated",
     "offres_coefficients",
     "scattering_bogoliubov",
-    "matrix_to_json",
 ]
 
 
@@ -228,9 +227,12 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
         _iw = None
 
     iw = 1j * w if _iw is None else _iw
-    den = 2 * (G1 + G2) - iw
-    off = -4 * math.sqrt(G1 * G2) / den
-    s = ((-2 * (G1 - G2) - iw) / den, off, off, (2 * (G1 - G2) - iw) / den)
+    # one reciprocal, and complex products through np.multiply, so that a
+    # scalar omega gives the bits it has inside an array (``_omega_factors``)
+    inv = 1 / (2 * (G1 + G2) - iw)
+    off = -4 * math.sqrt(G1 * G2) * inv
+    s = (np.multiply(-2 * (G1 - G2) - iw, inv), off, off,
+         np.multiply(2 * (G1 - G2) - iw, inv))
     return s if _entries else _pack22(s, w.shape)
 
 
@@ -292,9 +294,3 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
             m[..., p, q] = row * a[q]
         m[..., p, p] += 2 * kappa[p] / d[p] - 1
     return m
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists with each entry as an ``[re, im]`` pair."""
-    z = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in z]

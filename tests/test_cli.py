@@ -267,8 +267,6 @@ class TestExitCodes:
         ("spectrum", '"grid": {"points": Infinity}', "points"),
         ("spectrum", '"n_sites": Infinity', "n_sites"),
         ("optimize", '"n_sites": Infinity', "n_sites"),
-        ("optimize", '"seed": -Infinity', "seed"),
-        ("optimize", '"starts": NaN', "starts"),
         ("bandwidth-scan", '"n_min": 1e400', "n_min"),
         ("bandwidth-scan", '"n_max": Infinity', "n_max"),
         ("spectrum", '"n_sites": 3.7', "n_sites"),
@@ -329,7 +327,7 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("argv", [["spectrum", "--n", "3", "--points", "101"],
-                                      ["optimize", "--n", "2", "--starts", "0"]])
+                                      ["optimize", "--n", "2"]])
     def test_unwritable_out_path_exits_two(self, tmp_path, capsys, argv):
         out = str(tmp_path / "missing" / "x")
         assert main([*argv, "--out", out]) == 2
@@ -359,8 +357,7 @@ MANIFEST_RUNS = {
     "loss": (["--n", "3", "--values", "0,0.01"], ["{}.csv"], {"array", "param", "values"}),
     "backscatter": (["--n", "4", "--ratios", "0.02,0.05,0.1,0.15", "--fit-alpha"],
                     ["{}.csv", "{}_alpha.json"], {"array", "ratios", "zeta", "fit_alpha"}),
-    "optimize": (["--n", "2", "--starts", "1"], ["{}.json"],
-                 {"problem", "seed", "starts"}),
+    "optimize": (["--n", "2"], ["{}.json"], {"problem"}),
 }
 
 
@@ -554,32 +551,29 @@ class TestOptimize:
         assert doc["gamma1"][0] == pytest.approx(0.008, abs=5e-4)
         assert doc["bandwidth"] == pytest.approx(0.332, abs=2e-3)
         manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
-        assert manifest["config"]["seed"] == 97
+        assert manifest["config"] == {"problem": {"n_sites": 2, "gamma_total": 0.05,
+                                                  "min_efficiency": 0.99}}
 
     def test_bad_problem_is_config_error(self, tmp_path):
         assert main(["optimize", "--n", "0",
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_zero_random_starts_runs_the_five_ramp_starts(self, tmp_path, monkeypatch):
-        starts = []
-        search = oemarray.optimize._local_search
-
-        def counted_search(start, problem):
-            starts.append(start)
-            return search(start, problem)
-
-        monkeypatch.setattr(oemarray.optimize, "_local_search", counted_search)
-        out = str(tmp_path / "opt")
-        assert main(["optimize", "--n", "2", "--starts", "0", "--out", out]) == 0
-        assert len(starts) == 5
-        manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
-        assert manifest["config"]["starts"] == 0
-
-    def test_negative_starts_exits_two(self, tmp_path, capsys):
-        assert main(["optimize", "--n", "2", "--starts", "-1",
-                     "--out", str(tmp_path / "x")]) == 2
-        assert "starts" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--seed", "--starts"])
+    def test_start_flags_are_gone(self, tmp_path, flag):
+        # the solve has one start, so there is no restart seed or count
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--n", "2", flag, "1", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_start_keys_are_not_read(self, tmp_path):
+        # a config file's seed and starts are ignored, as other commands'
+        # keys are: the run and its manifest are those of a config without them
+        path = write_config(tmp_path, {"schema_version": "1", "seed": -1, "starts": "x"})
+        assert main(["optimize", "--config", path, "--n", "2",
+                     "--out", str(tmp_path / "opt")]) == 0
+        manifest = json.loads((tmp_path / "opt_manifest.json").read_text())
+        assert set(manifest["config"]) == {"problem"}
 
 
 _COMMON = {"-h", "--help", "--config", "--out"}
@@ -594,7 +588,7 @@ CLI_OPTIONS = {
     "stokes": _COMMON | _ARRAY | _GRID | {"--omega-m"},
     "loss": _COMMON | _ARRAY | {"--param", "--values"},
     "backscatter": _COMMON | _ARRAY | {"--ratios", "--zeta", "--fit-alpha"},
-    "optimize": _COMMON | {"--n", "--gamma-total", "--min-eff", "--seed", "--starts"},
+    "optimize": _COMMON | {"--n", "--gamma-total", "--min-eff"},
 }
 
 
@@ -668,24 +662,28 @@ _IMPORT_PROBE = """
 import json, sys
 import oemarray.cli
 loaded = [sorted(m for m in ("scipy", "oemarray.optimize") if m in sys.modules)]
-rc = oemarray.cli.main(["spectrum", "--n", "3", "--points", "101", "--out", sys.argv[1]])
+rc = [oemarray.cli.main(["spectrum", "--n", "3", "--points", "101", "--out", sys.argv[1]])]
+loaded.append(sorted(m for m in ("scipy", "oemarray.optimize") if m in sys.modules))
+rc.append(oemarray.cli.main(["optimize", "--n", "3", "--out", sys.argv[2]]))
 loaded.append(sorted(m for m in ("scipy", "oemarray.optimize") if m in sys.modules))
 print(json.dumps({"rc": rc, "loaded": loaded}))
 """
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
-    # scipy.optimize is imported inside the optimizer functions that call it,
-    # so a run that does not optimize never pays its import time
+    # the program needs numpy alone: neither a spectrum nor an optimize run,
+    # whose result_to_json also fits the tanh steepness, imports scipy
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oemarray.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "sp")],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "sp"),
+                           str(tmp_path / "opt")],
                           env=env, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout)
-    assert result["rc"] == 0
+    assert result["rc"] == [0, 0]
+    assert json.loads((tmp_path / "opt.json").read_text())["beta_fit"] is not None
     # oemarray.optimize itself stays eagerly imported: it is public API, and the
     # benchmark reads its import time from an `-X importtime` report of
     # `import oemarray.cli`, which must list the module
-    assert result["loaded"] == [["oemarray.optimize"], ["oemarray.optimize"]]
+    assert result["loaded"] == [["oemarray.optimize"]] * 3
 
 
 class TestVersion:

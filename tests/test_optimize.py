@@ -12,8 +12,9 @@ from oemarray.core import FrequencyGrid
 from oemarray.transducer import EliminatedSite
 from oemarray.cascade import _t21, array_transfer, eliminated_spectrum, extract_bandwidth
 from oemarray.optimize import (OptimizationProblem, OptimizationResult, _clip,
-                               _columns, _grid_for, _grid_metrics, _search_grid,
-                               _sites_for, _t21_jacobian,
+                               _circle, _coefficients, _grid_for, _grid_metrics,
+                               _search_grid, _sites_for,
+                               _t21_jacobian, _trough_gradients, _troughs,
                                eliminated_bandwidth, fit_tanh_beta,
                                grid_oracle, optimize_couplings,
                                result_to_json)
@@ -88,9 +89,9 @@ class TestTwoSites:
     def test_result_is_pinned_bit_for_bit(self, n2_result):
         _, r = n2_result
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.0da9f7919af3ep-7", "0x1.562f1bb532dcbp-5"]
+            "0x1.0da9f7919af66p-7", "0x1.562f1bb532dc0p-5"]
         assert r.bandwidth.hex() == "0x1.53f8b43958108p-2"
-        assert r.passband_min.hex() == "0x1.fae147ae147bep-1"
+        assert r.passband_min.hex() == "0x1.fae147ae147acp-1"
 
     def test_agrees_with_grid_oracle(self, n2_result):
         problem, r = n2_result
@@ -133,9 +134,9 @@ class TestGridOracle:
                                    atol=resolution)
         assert o.gamma1_per_site[1] == pytest.approx(0.025, abs=1e-12)
         assert [g.hex() for g in r.gamma1_per_site] == [
-            "0x1.35f5cf12a1543p-8", "0x1.999999999999ap-6", "0x1.72dadfb7456f2p-5"]
-        assert r.bandwidth.hex() == "0x1.08920da740da6p-1"
-        assert r.passband_min.hex() == "0x1.e66666666666bp-1"
+            "0x1.35e7a1fdc7bf4p-8", "0x1.999999999999ap-6", "0x1.72dca559e0a1cp-5"]
+        assert r.bandwidth.hex() == "0x1.088e962fc962ep-1"
+        assert r.passband_min.hex() == "0x1.e666666666668p-1"
 
     def test_rejects_larger_arrays(self):
         with pytest.raises(ValueError, match="n_sites <= 3"):
@@ -174,11 +175,6 @@ def _t21_gradient(fracs, gamma_total, omega):
     return (-4 * (r0 * c0 - r1 * c1) - 2 * k * (r0 * c1 + r1 * c0)) / den
 
 
-def _coefficients(fracs):
-    """T21's coefficients in powers of the surrogate's zeta."""
-    return np.array(_columns(fracs)[-1]).imag
-
-
 def _polynomial_t21(fracs, problem):
     """T21 of the sites' polynomial on the search grid."""
     return _coefficients(fracs) @ _search_grid(problem)[1]
@@ -214,7 +210,7 @@ def test_polynomial_holds_for_long_arrays(n):
 
 
 def test_search_calls_no_site_kernel(monkeypatch):
-    # the surrogate's values and gradients come from the polynomial at every
+    # the troughs and their gradients come from the polynomial at every
     # size; only the refined extractor in _finalize sweeps the cascade
     problem = OptimizationProblem(n_sites=30, gamma_total=GAMMA, min_efficiency=0.9)
 
@@ -222,15 +218,14 @@ def test_search_calls_no_site_kernel(monkeypatch):
         raise AssertionError("site kernel called during the search")
 
     monkeypatch.setattr(cascade, "scattering_eliminated", kernel)
-    start = opt._start_profiles(problem, 0, 97)[2]
-    x, evaluations = opt._local_search(start, problem)
-    assert evaluations > 1 and np.all(np.isfinite(x))
+    x, evaluations, solved = opt._equiripple(problem, opt._circle(30))
+    assert solved and evaluations > 1 and np.all(np.isfinite(x))
 
 
 class TestSurrogate:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_agrees_with_refined_extractor_on_its_grid(self, n):
-        # the search's linearly interpolated half-max against the bisected
+        # the grid oracle's linearly interpolated half-max against the bisected
         # one: samples that agree within the polynomial's rounding, so the
         # same ripple floor to that bound and a width within a grid step
         problem = OptimizationProblem(n_sites=n, gamma_total=GAMMA, min_efficiency=0.9)
@@ -244,31 +239,36 @@ class TestSurrogate:
             assert abs(fwhm - bw.fwhm) <= step
 
     @pytest.mark.parametrize("n", [2, 3, 6])
-    def test_gradient_path_gives_the_same_bits(self, n):
+    def test_refined_troughs_are_stationary_points_below_their_samples(self, n):
+        # each refined trough has dR/dtheta = 0 to rounding, and the smallest
+        # lies at or below the floor sampled on the search grid
         problem = OptimizationProblem(n_sites=n, gamma_total=GAMMA, min_efficiency=0.9)
         grid = _search_grid(problem)
         d = np.arange(1, n + 1) / (n + 1)
-        for fracs in (np.full(n, 0.5), d, 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)):
-            _, pb_min, troughs, _ = _grid_metrics(fracs, problem, grid)
-            assert troughs[0] == pb_min
-            assert len(troughs) == n - 1 and np.all(np.diff(troughs) >= 0)
+        for fracs in (d, 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)):
+            coef = _coefficients(fracs)
+            v, t21, powers = _troughs(coef, _circle(n))
+            assert len(v) == n // 2
+            k = np.arange(n + 1)[:, None]
+            d_theta = 2 * (t21.conjugate() * ((1j * k * coef[:, None]) * powers).sum(0)).real
+            assert np.max(np.abs(d_theta)) <= 1e-12
+            assert v.min() <= _grid_metrics(fracs, problem, grid)[1] + 1e-15
 
-    def test_metric_gradients_match_central_differences(self):
-        # away from the grid-point switches the metrics are smooth, and the
-        # adjoint gradients agree with differences of the surrogate.  Each
-        # trough has a twin at the opposite detuning, since S(-w) = S(w)*,
-        # and the two move together, so the sorted troughs keep their order
-        problem = OptimizationProblem(n_sites=6, gamma_total=GAMMA, min_efficiency=0.9)
-        grid = _search_grid(problem)
-        fracs = np.array([0.05, 0.2, 0.35, 0.65, 0.8, 0.95])
-        d_fwhm, d_troughs = _grid_metrics(fracs, problem, grid)[3]()
-        h = 1e-7
-        for j, e in enumerate(np.eye(6)):
-            up = _grid_metrics(fracs + h * e, problem, grid)
-            down = _grid_metrics(fracs - h * e, problem, grid)
-            assert d_fwhm[j] == pytest.approx((up[0] - down[0]) / (2 * h), rel=1e-5, abs=1e-9)
-            np.testing.assert_allclose(d_troughs[:, j], (up[2] - down[2]) / (2 * h),
-                                       rtol=1e-5, atol=1e-9)
+    @pytest.mark.parametrize("n", [3, 6, 11])
+    def test_trough_gradients_match_central_differences(self, n):
+        # a trough moves with the fractions, but dR/dtheta = 0 there, so
+        # its gradient is dR/df at the refined point alone
+        circle = _circle(n)
+        d = np.arange(1, n + 1) / (n + 1)
+        fracs = 0.5 * (np.tanh(4.5 * (d - 0.5)) + 1)
+        v, t21, powers = _troughs(_coefficients(fracs), circle)
+        grad = _trough_gradients(fracs, t21, powers)
+        h = 1e-6
+        for j, e in enumerate(np.eye(n)):
+            up = _troughs(_coefficients(fracs + h * e), circle)[0]
+            down = _troughs(_coefficients(fracs - h * e), circle)[0]
+            np.testing.assert_allclose(grad[:, j], (up - down) / (2 * h),
+                                       rtol=1e-6, atol=1e-9)
 
 
 class TestAdjoint:
@@ -299,35 +299,28 @@ class TestAdjoint:
         assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_each_profile_is_evaluated_once_per_search(monkeypatch):
-    # SLSQP asks for the objective, the constraint and their gradients at
-    # the same point; a search computes each distinct profile once, and the
-    # result counts exactly those
-    calls = []
-    search, metrics = opt._local_search, opt._grid_metrics
+def test_each_profile_is_evaluated_once_per_search(monkeypatch, n2_result):
+    # one trough evaluation per Newton iterate, the start included, each at
+    # a new profile; the result counts exactly those, and _finalize's own
+    # evaluation of the reported profile (with the peak) is not counted
+    problem, r = n2_result
+    profiles = []
+    troughs = opt._troughs
 
-    def counted_search(start, problem):
-        calls.append([])
-        return search(start, problem)
+    def counted_troughs(coef, circle, peak=False):
+        if not peak:
+            profiles.append(coef.tobytes())
+        return troughs(coef, circle, peak)
 
-    def counted_metrics(fracs, problem, *args):
-        calls[-1].append(np.asarray(fracs).tobytes())
-        return metrics(fracs, problem, *args)
-
-    monkeypatch.setattr(opt, "_local_search", counted_search)
-    monkeypatch.setattr(opt, "_grid_metrics", counted_metrics)
-    r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05,
-                                               min_efficiency=0.99))
-    assert len(calls) == 8
-    for profiles in calls:
-        assert len(set(profiles)) == len(profiles)
-    assert r.evaluations == sum(len(p) for p in calls)
+    monkeypatch.setattr(opt, "_troughs", counted_troughs)
+    assert optimize_couplings(problem) == r
+    assert len(set(profiles)) == len(profiles) == r.evaluations
 
 
-def test_gradients_are_built_only_where_the_solver_asks(monkeypatch, n2_result):
-    # SLSQP's line search needs values alone at its trial points, so the
-    # Jacobian is built at fewer profiles than the surrogate is evaluated at,
-    # and the search takes the same steps
+def test_one_jacobian_per_newton_step(monkeypatch, n2_result):
+    # every step here is taken whole, so the iterates are the start and one
+    # per step, and the Jacobian is built once per step: not at the last
+    # iterate, where the troughs already sit on the floor
     problem, r = n2_result
     sweeps = []
     gradient = opt._t21_jacobian
@@ -339,30 +332,22 @@ def test_gradients_are_built_only_where_the_solver_asks(monkeypatch, n2_result):
     monkeypatch.setattr(opt, "_t21_jacobian", counted_gradient)
     again = optimize_couplings(problem)
     assert again == r
-    assert 0 < len(sweeps) < r.evaluations
+    assert len(sweeps) == r.evaluations - 1 > 0
 
 
 class TestStarts:
-    @staticmethod
-    def searches(monkeypatch, n_random_starts):
-        starts = []
-        search = opt._local_search
+    """The search has one start; ``n_random_starts`` and ``seed`` are
+    checked and otherwise ignored."""
 
-        def counted_search(start, problem):
-            starts.append(start)
-            return search(start, problem)
-
-        monkeypatch.setattr(opt, "_local_search", counted_search)
-        r = optimize_couplings(OptimizationProblem(n_sites=2, gamma_total=0.05),
-                               n_random_starts=n_random_starts)
-        assert r.converged
-        return len(starts)
-
-    @pytest.mark.parametrize("n_random,searches", [(0, 5), (1, 6)])
-    def test_runs_exactly_the_requested_random_starts(self, monkeypatch, n_random,
-                                                      searches):
-        # five ramp-shaped starts, then the random ones
-        assert self.searches(monkeypatch, n_random) == searches
+    @pytest.mark.parametrize("n_random_starts,seed", [(0, 97), (1, 97), (5, 1)])
+    def test_start_keywords_leave_the_result_unchanged(self, n2_result,
+                                                       n_random_starts, seed):
+        problem, r = n2_result
+        again = optimize_couplings(problem, n_random_starts=n_random_starts, seed=seed)
+        assert [g.hex() for g in again.gamma1_per_site] == [g.hex() for g in r.gamma1_per_site]
+        assert (again.bandwidth.hex(), again.passband_min.hex(), again.converged,
+                again.evaluations) == (r.bandwidth.hex(), r.passband_min.hex(),
+                                       r.converged, r.evaluations)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="n_random_starts must be >= 0"):
@@ -396,6 +381,27 @@ def test_reported_bandwidth_is_scale_free():
         n_sites=2, gamma_total=gamma_total, min_efficiency=0.99)).bandwidth / gamma_total
         for gamma_total in (1e-200, 0.05, 1e3)]
     np.testing.assert_allclose(widths, widths[1], rtol=1e-9)
+
+
+@pytest.mark.parametrize("n,floor", [(3, 0.95), (6, 0.95), (10, 0.95), (16, 0.95),
+                                     (20, 0.95), (10, 0.99)])
+def test_floor_holds_on_resampling(n, floor):
+    # the reported floor is the smallest refined trough: a resampling of the
+    # polynomial on 1.2M points of the search span finds the same in-band
+    # minimum, and it holds, where grid samples missed it by up to 1.7e-2
+    problem = OptimizationProblem(n_sites=n, gamma_total=GAMMA, min_efficiency=floor)
+    r = optimize_couplings(problem)
+    assert r.converged
+    coef = _coefficients(np.array(r.gamma1_per_site) / GAMMA)
+    span = 4 * GAMMA * (n + 2)
+    w = np.linspace(-span, span, 1_200_001)
+    zeta = (w - 2j * GAMMA) / (w + 2j * GAMMA)
+    t21 = np.zeros_like(zeta)
+    for c in coef[::-1]:
+        t21 = t21 * zeta + c
+    resampled = cascade._halfmax(t21.real ** 2 + t21.imag ** 2)[4]
+    assert abs(r.passband_min - resampled) <= 1e-9
+    assert resampled >= floor - 1e-9
 
 
 class TestOptimizerInvariants:

@@ -27,9 +27,18 @@ def test_public_names_are_the_modules_all_lists():
             assert getattr(oemarray, name) is getattr(module, name)
     # no module's name shadows another's
     exported = [name for module in modules for name in module.__all__]
-    assert len(set(exported)) == len(exported) == 68
+    assert len(set(exported)) == len(exported) == 67
     assert set(public) == set(exported) | set(MODULES)
-    assert len(public) == 74
+    assert len(public) == 73
+
+
+def test_src_imports_no_scipy():
+    # the program runs on numpy alone; scipy is a test and tooling dependency
+    for root, _, names in os.walk(os.path.dirname(oemarray.__file__)):
+        for name in names:
+            if name.endswith(".py"):
+                text = open(os.path.join(root, name), encoding="utf-8").read()
+                assert "import scipy" not in text and "from scipy" not in text, name
 
 
 def _readme_commands() -> list:

@@ -10,7 +10,6 @@ from oemarray.cascade import array_transfer
 from oemarray.transducer import (
     BogoliubovSite,
     EliminatedSite,
-    matrix_to_json,
     offres_coefficients,
     scattering_bogoliubov,
     scattering_eliminated,
@@ -388,9 +387,3 @@ class TestEntryMajorLayout:
             assert s.shape == w2.shape + (2, 2)
             for row, s_row in zip(w2, s):
                 assert np.array_equal(s_row, f(row))
-
-
-def test_matrix_to_json_row_major_pairs():
-    m = np.array([[1 + 2j, 0], [0.5, -1j]])
-    doc = matrix_to_json(m)
-    assert doc == [[[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, -1.0]]]
