@@ -44,8 +44,8 @@ __all__ = [
     "result_to_json",
 ]
 
-_FRAC_FLOOR = 1e-4
 _START_BETA = 4.5     # steepness of the tanh ramp the solve starts from
+_MIN_RIPPLE = 5e-7    # the troughs' target stays this far below 1
 _TOL = 1e-12          # |trough - floor| at which the solve stops
 _MAX_STEPS = 40
 _HALVINGS = 8         # step halvings before the solve gives up
@@ -90,12 +90,6 @@ class OptimizationResult:
 def _mirror_fractions(free: np.ndarray, n: int) -> np.ndarray:
     """Complete the first-half rate fractions to a full symmetric ramp."""
     return np.concatenate([free, [0.5] * (n % 2), 1.0 - free[::-1]])
-
-
-def _clip(x: np.ndarray) -> np.ndarray:
-    """``np.clip(x, _FRAC_FLOOR, 1 - _FRAC_FLOOR)``, bit for bit, without
-    ``np.clip``'s dispatch overhead."""
-    return np.minimum(np.maximum(x, _FRAC_FLOOR), 1 - _FRAC_FLOOR)
 
 
 def _grid_for(problem: OptimizationProblem, widen: int = 0) -> FrequencyGrid:
@@ -176,19 +170,20 @@ def _samples(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return v[0::2] + v[1::2]
 
 
-def _grid_metrics(fracs: np.ndarray, problem: OptimizationProblem, grid):
-    """(fwhm, passband_min) of the spectrum sampled on ``grid``, which is
+def _grid_fwhm(fracs: np.ndarray, grid) -> float:
+    """FWHM of the spectrum sampled on ``grid``, which is
     ``_search_grid(problem)``, with crossings linearly interpolated between
-    grid points: the cheap surrogate that ``grid_oracle`` scans."""
+    grid points (0 without a positive peak): the cheap width that
+    ``grid_oracle`` scans."""
     w = grid[0]
     v = _samples(_coefficients(fracs), grid[1])
     try:
-        _, half, i0, i1, pb_min = _halfmax(v)
+        _, half, i0, i1, _ = _halfmax(v)
     except SpectrumError:
-        return 0.0, 0.0
+        return 0.0
     (wa, wb, wc, wd), (va, vb, vc, vd) = w[[i0 - 1, i0, i1, i1 + 1]], v[[i0 - 1, i0, i1, i1 + 1]]
     return float(wc + (half - vc) * (wd - wc) / (vd - vc)
-                 - (wa + (half - va) * (wb - wa) / (vb - va))), pb_min
+                 - (wa + (half - va) * (wb - wa) / (vb - va)))
 
 
 def _troughs(coef: np.ndarray, circle: np.ndarray, peak: bool = False):
@@ -235,13 +230,19 @@ def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
     troughs = floor from the tanh ramp of steepness ``_START_BETA``.
 
     The Jacobian is ``_trough_gradients``, mirrored into the free
-    fractions.  A step is halved until it lowers the largest residual and
-    keeps the ramp monotone, free fractions increasing and below 1/2: the
-    equations also hold on rearranged profiles with the same |T21|^2,
-    which full steps reach at low floors.  The solve fails when no halving
-    does, or when the start lacks one of the m troughs.
+    fractions.  A step is halved until it keeps the ramp monotone, free
+    fractions positive, increasing and below 1/2, and lowers the largest
+    residual: the equations also hold on rearranged profiles with the same
+    |T21|^2, which full steps reach at low floors.  High floors take the
+    end fractions far below 1e-4 (to 2e-7 at a floor of 1 and 100 sites).
+    At a floor of 1 the troughs would merge with the peaks (the maximally
+    flat limit), where the Jacobian is singular, so the troughs are aimed
+    at most at 1 - ``_MIN_RIPPLE``, within the 1e-6 below the floor that
+    ``converged`` allows.  The solve fails when no halving does, or when
+    the start lacks one of the m troughs.
     """
-    n, floor = problem.n_sites, problem.min_efficiency
+    n = problem.n_sites
+    floor = min(problem.min_efficiency, 1 - _MIN_RIPPLE)
     m = n // 2
     d = np.arange(1, m + 1) / (n + 1)
 
@@ -253,7 +254,7 @@ def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
         r = v - floor
         return fracs, r, t21, powers, np.max(np.abs(r)) if len(r) == m else np.inf
 
-    x = _clip(0.5 * (np.tanh(_START_BETA * (d - 0.5)) + 1.0))
+    x = 0.5 * (np.tanh(_START_BETA * (d - 0.5)) + 1.0)
     fracs, r, t21, powers, worst = residuals(x)
     evaluations = 1
     for _ in range(_MAX_STEPS):
@@ -263,10 +264,12 @@ def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
         # the mirror sets f_(N-1-i) = 1 - x_i
         step = np.linalg.lstsq(d_r[:, :m] - d_r[:, ::-1][:, :m], -r, rcond=None)[0]
         for halving in range(_HALVINGS + 1):
-            trial = _clip(x + step / 2 ** halving)
+            trial = x + step / 2 ** halving
+            if not (trial[0] > 0 and np.all(np.diff(trial) > 0) and trial[-1] < 0.5):
+                continue
             evaluations += 1
             out = residuals(trial)
-            if out[-1] < worst and np.all(np.diff(trial) > 0) and trial[-1] < 0.5:
+            if out[-1] < worst:
                 break
         else:
             break
@@ -343,7 +346,9 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
 
     Exhaustive scan of the single free rate fraction at resolution 1/400
     of the budget, then a bracketed refinement around the best feasible
-    point.
+    point.  Feasibility is judged on the refined troughs, as the result's
+    ``passband_min`` is, and the width on the grid's interpolated
+    crossings.
     """
     if problem.n_sites > 3:
         raise ValueError("grid oracle only covers n_sites <= 3")
@@ -356,8 +361,12 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
     def objective(f: float) -> float:
         nonlocal evals
         evals += 1
-        fwhm, pb = _grid_metrics(
-            _mirror_fractions(np.array([f]), problem.n_sites), problem, grid)
+        fracs = _mirror_fractions(np.array([f]), problem.n_sites)
+        try:
+            pb = _troughs(_coefficients(fracs), circle, peak=True)[0].min()
+        except SpectrumError:
+            return -np.inf
+        fwhm = _grid_fwhm(fracs, grid)
         if fwhm <= 0 or pb < problem.min_efficiency - 1e-9:
             return -np.inf
         return fwhm

@@ -227,12 +227,9 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
         _iw = None
 
     iw = 1j * w if _iw is None else _iw
-    # one reciprocal, and complex products through np.multiply, so that a
-    # scalar omega gives the bits it has inside an array (``_omega_factors``)
-    inv = 1 / (2 * (G1 + G2) - iw)
-    off = -4 * math.sqrt(G1 * G2) * inv
-    s = (np.multiply(-2 * (G1 - G2) - iw, inv), off, off,
-         np.multiply(2 * (G1 - G2) - iw, inv))
+    den = 2 * (G1 + G2) - iw
+    off = -4 * math.sqrt(G1 * G2) / den
+    s = ((-2 * (G1 - G2) - iw) / den, off, off, (2 * (G1 - G2) - iw) / den)
     return s if _entries else _pack22(s, w.shape)
 
 

@@ -554,6 +554,16 @@ class TestOptimize:
         assert manifest["config"] == {"problem": {"n_sites": 2, "gamma_total": 0.05,
                                                   "min_efficiency": 0.99}}
 
+    @pytest.mark.parametrize("n", ["2", "3", "6"])
+    def test_floor_of_one_converges(self, tmp_path, n):
+        # the largest floor the problem accepts has a feasible profile
+        rc = main(["optimize", "--n", n, "--gamma-total", "0.02",
+                   "--min-eff", "1.0", "--out", str(tmp_path / "opt")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "opt.json").read_text())
+        assert doc["converged"] is True
+        assert doc["passband_min"] >= 1 - 1e-6
+
     def test_bad_problem_is_config_error(self, tmp_path):
         assert main(["optimize", "--n", "0",
                      "--out", str(tmp_path / "x")]) == 2
