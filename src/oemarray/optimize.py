@@ -17,10 +17,13 @@ The widest band whose in-band ripple stays above a floor is equiripple
 sit on the floor, m equations in the m free rate fractions (the alternation
 that Parks & McClellan, IEEE Trans. Circuit Theory 19, 189 (1972), solve
 for).  One damped Newton solve of that system, from a tanh ramp, finds it.
-Each trough is located on a grid uniform in the phase of zeta and refined to
-a stationary point of the polynomial, so the floor holds between samples
-too.  A brute-force grid oracle covers the small arrays, and profiles can
-be summarized by their best-fit tanh steepness.
+In x = Re zeta, |T21|^2 is a real polynomial of degree N, so the troughs
+are exact roots of its derivative, the eigenvalues of a comrade matrix:
+nothing is sampled, the floor holds between any samples, and the solve
+converges at every N tested, up to 400 sites.  A brute-force grid oracle,
+which judges each profile as the solve's result is judged, covers the
+small arrays, and profiles can be summarized by their best-fit tanh
+steepness.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .core import FrequencyGrid, SpectrumError, _count, _number, _write_json
 from .transducer import EliminatedSite
-from .cascade import _halfmax, eliminated_spectrum, extract_bandwidth
+from .cascade import eliminated_spectrum, extract_bandwidth
 
 __all__ = [
     "OptimizationProblem",
@@ -49,7 +52,6 @@ _MIN_RIPPLE = 5e-7    # the troughs' target stays this far below 1
 _TOL = 1e-12          # |trough - floor| at which the solve stops
 _MAX_STEPS = 40
 _HALVINGS = 8         # step halvings before the solve gives up
-_REFINE_STEPS = 3     # Newton steps from a grid sample to a stationary point
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ class OptimizationProblem:
 class OptimizationResult:
     """Best profile of a search.
 
-    ``passband_min`` is the smallest in-band trough of |T21|^2, refined
-    between grid points (the peak when the band has no trough), and
+    ``passband_min`` is the smallest in-band trough of |T21|^2, an exact
+    stationary point (the peak when the band has no trough), and
     ``evaluations`` counts the profiles whose troughs the search computed.
     """
 
@@ -139,83 +141,51 @@ def _t21_jacobian(fracs: np.ndarray) -> np.ndarray:
     return np.array(jac[::-1])
 
 
-def _search_grid(problem: OptimizationProblem):
-    """(w, basis): the points of ``_grid_for(problem)`` and zeta^k at them
-    in row k, k = 0 .. N; computed once per search."""
-    w = _grid_for(problem).points()
-    zeta = 1 - 4j / (w / problem.gamma_total + 2j)  # (w - 2iG)/(w + 2iG)
-    return w, np.cumprod([np.ones_like(zeta)] + [zeta] * problem.n_sites, axis=0)
-
-
-def _circle(n: int) -> np.ndarray:
-    """zeta^k in row k, k = 0 .. n, at 1201 points zeta = e^(i phi) with phi
-    uniform on [0, 2 pi]: w runs from -inf through 0, at the middle index,
-    to +inf.  |T21|^2 is a trigonometric polynomial of degree n in phi, so
-    these samples resolve every ripple, 1200 / n to its period.  The points
-    of ``_search_grid``, uniform in w, are sparse in phi near w = 0, where
-    20 sites leave about two to a period."""
-    zeta = np.exp(1j * np.linspace(0, 2 * np.pi, 1201))
-    return np.cumprod([np.ones_like(zeta)] + [zeta] * n, axis=0)
-
-
 def _coefficients(fracs: np.ndarray) -> np.ndarray:
     """T21's coefficients in powers of zeta, which are real: the imaginary
     parts of the last column's."""
     return np.array(_columns(fracs)[-1]).imag
 
 
-def _samples(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """|T21|^2 at the grid points whose powers of zeta ``basis`` holds."""
-    v = (coef @ basis.view(float)) ** 2
-    return v[0::2] + v[1::2]
-
-
-def _grid_fwhm(fracs: np.ndarray, grid) -> float:
-    """FWHM of the spectrum sampled on ``grid``, which is
-    ``_search_grid(problem)``, with crossings linearly interpolated between
-    grid points (0 without a positive peak): the cheap width that
-    ``grid_oracle`` scans."""
-    w = grid[0]
-    v = _samples(_coefficients(fracs), grid[1])
-    try:
-        _, half, i0, i1, _ = _halfmax(v)
-    except SpectrumError:
-        return 0.0
-    (wa, wb, wc, wd), (va, vb, vc, vd) = w[[i0 - 1, i0, i1, i1 + 1]], v[[i0 - 1, i0, i1, i1 + 1]]
-    return float(wc + (half - vc) * (wd - wc) / (vd - vc)
-                 - (wa + (half - va) * (wb - wa) / (vb - va)))
-
-
-def _troughs(coef: np.ndarray, circle: np.ndarray, peak: bool = False):
+def _troughs(coef: np.ndarray, peak: bool = False):
     """(values, t21, powers) at the in-band troughs with w >= 0: |T21|^2 and
     T21 there, and zeta^k in row k.
 
-    Each trough is a local minimum of the samples on ``circle``, which is
-    ``_circle(N)``, between the half-max crossings, refined by Newton steps
-    on dR/dtheta, R = |sum c_k e^(ik theta)|^2, to the polynomial's
-    stationary point.  With ``peak``, a band without a trough gives its
-    refined maximum instead.  Raises SpectrumError when the samples are not
-    finite or have no positive maximum.
+    With r the autocorrelation of ``coef``, |T21|^2 = r_0 + 2 sum r_k T_k(x)
+    in x = Re zeta = (w^2 - 4G^2)/(w^2 + 4G^2), which runs from -1 at w = 0
+    to 1 as w -> inf, where |T21|^2 = 0.  Its stationary points at w > 0 are
+    the real roots in (-1, 1) of the derivative, sum (k + 1) r_(k+1) U_k(x)
+    up to a factor: eigenvalues of that series' comrade matrix (I. J. Good,
+    Q. J. Math. 12, 61 (1961)).  w = 0 is stationary too, and at each point
+    zeta = e^(-i arccos x).  A trough lies below its neighbours among these
+    points, with 0 beyond the last, and before the last point at or above
+    half the peak.  With ``peak``, a band without a trough gives its
+    maximum instead.  Raises SpectrumError when the coefficients are not
+    finite, give no positive maximum or no roots.
     """
-    v = _samples(coef, circle)
-    _, _, i0, i1, _ = _halfmax(v)
-    lo = max(i0, len(v) // 2)
-    mid = v[lo:i1 + 1]
-    idx = np.flatnonzero((mid <= v[lo - 1:i1]) & (mid < v[lo + 1:i1 + 2])) + lo
+    n = len(coef) - 1
+    r = np.correlate(coef, coef, "full")[n:]
+    b = np.trim_zeros(np.arange(1, n + 1) * r[1:], "b")
+    if not np.all(np.isfinite(b)):
+        raise SpectrumError("conversion spectrum is not finite")
+    if not len(b):  # |T21|^2 is constant, and 0 as w -> inf
+        raise SpectrumError("no positive maximum in spectrum")
+    comrade = (np.eye(len(b) - 1, k=1) + np.eye(len(b) - 1, k=-1)) / 2
+    comrade[-1:] -= b[:-1] / (2 * b[-1])
+    try:
+        roots = np.linalg.eigvals(comrade)
+    except np.linalg.LinAlgError as err:
+        raise SpectrumError(f"troughs not found: {err}") from None
+    x = np.sort(np.append(roots.real[(abs(roots.imag) <= 1e-9) & (abs(roots.real) < 1)], -1.0))
+    powers = np.exp(-1j * np.multiply.outer(np.arange(n + 1), np.arccos(x)))
+    t21 = coef @ powers
+    v = t21.real ** 2 + t21.imag ** 2
+    last = np.flatnonzero(v >= v.max() / 2)[-1]
+    idx = np.flatnonzero((v < np.append(np.inf, v[:-1])) & (v < np.append(v[1:], 0.0)))
+    idx = idx[idx < last]
     if peak and not len(idx):
         idx = np.argmax(v)[None]
-    k = np.arange(len(coef))
-    # p = sum c_k e^(ik theta) and its first two derivatives in theta
-    derivs = np.array([coef, 1j * k * coef, -k * k * coef])
-    theta = idx * (2 * np.pi / (len(v) - 1))
-    for _ in range(_REFINE_STEPS):
-        p, dp, ddp = derivs @ np.exp(1j * np.multiply.outer(k, theta))
-        # dR/dtheta = 2 Re(p* p') and d2R/dtheta2 = 2 (|p'|^2 + Re(p* p''))
-        theta = theta - (p.conjugate() * dp).real / (
-            dp.real ** 2 + dp.imag ** 2 + (p.conjugate() * ddp).real)
-    powers = np.exp(1j * np.multiply.outer(k, theta))
-    t21 = coef @ powers
-    return t21.real ** 2 + t21.imag ** 2, t21, powers
+    return v[idx], t21[idx], powers[:, idx]
 
 
 def _trough_gradients(fracs: np.ndarray, t21: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -225,7 +195,7 @@ def _trough_gradients(fracs: np.ndarray, t21: np.ndarray, powers: np.ndarray) ->
     return 2 * (t21.conjugate()[:, None] * (powers.T @ _t21_jacobian(fracs).T)).real
 
 
-def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
+def _equiripple(problem: OptimizationProblem):
     """(free fractions, evaluations, solved) of the Newton solve of
     troughs = floor from the tanh ramp of steepness ``_START_BETA``.
 
@@ -250,7 +220,7 @@ def _equiripple(problem: OptimizationProblem, circle: np.ndarray):
         """(fracs, troughs - floor, T21 and zeta^k there, largest |residual|),
         the last infinite unless there are exactly m troughs."""
         fracs = _mirror_fractions(x, n)
-        v, t21, powers = _troughs(_coefficients(fracs), circle)
+        v, t21, powers = _troughs(_coefficients(fracs))
         r = v - floor
         return fracs, r, t21, powers, np.max(np.abs(r)) if len(r) == m else np.inf
 
@@ -296,8 +266,8 @@ def eliminated_bandwidth(gamma1_per_site: Sequence[float],
                 raise
 
 
-def _finalize(fracs: np.ndarray, problem: OptimizationProblem, circle: np.ndarray,
-              evals: int, solved: bool = True) -> OptimizationResult:
+def _finalize(fracs: np.ndarray, problem: OptimizationProblem, evals: int,
+              solved: bool = True) -> OptimizationResult:
     """The result for free fractions ``fracs``: the bisection-refined width,
     and the smallest refined trough as the floor, on which, with
     ``solved``, convergence is judged."""
@@ -305,14 +275,14 @@ def _finalize(fracs: np.ndarray, problem: OptimizationProblem, circle: np.ndarra
     gamma1 = tuple(float(f) * problem.gamma_total for f in profile)
     try:
         bw = eliminated_bandwidth(gamma1, problem.gamma_total)
-        pb_min = float(_troughs(_coefficients(profile), circle, peak=True)[0].min())
+        pb_min = float(_troughs(_coefficients(profile), peak=True)[0].min())
     except SpectrumError:
         return OptimizationResult(gamma1_per_site=gamma1, bandwidth=0.0,
                                   passband_min=0.0, converged=False,
                                   evaluations=evals)
     return OptimizationResult(
         gamma1_per_site=gamma1, bandwidth=float(bw.fwhm), passband_min=pb_min,
-        converged=solved and pb_min >= problem.min_efficiency - 1e-6,
+        converged=bool(solved) and pb_min >= problem.min_efficiency - 1e-6,
         evaluations=evals)
 
 
@@ -334,11 +304,10 @@ def optimize_couplings(problem: OptimizationProblem, n_random_starts: int = 3,
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the search is serial")
     _count("n_random_starts", n_random_starts, 0)
-    circle = _circle(problem.n_sites)
     if problem.n_sites == 1:
-        return _finalize(np.empty(0), problem, circle, evals=1)
-    x, evaluations, solved = _equiripple(problem, circle)
-    return _finalize(x, problem, circle, evaluations, solved)
+        return _finalize(np.empty(0), problem, evals=1)
+    x, evaluations, solved = _equiripple(problem)
+    return _finalize(x, problem, evaluations, solved)
 
 
 def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
@@ -346,36 +315,30 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
 
     Exhaustive scan of the single free rate fraction at resolution 1/400
     of the budget, then a bracketed refinement around the best feasible
-    point.  Feasibility is judged on the refined troughs, as the result's
-    ``passband_min`` is, and the width on the grid's interpolated
-    crossings.
+    point.  Each candidate is judged by ``_finalize``, as the solve's
+    result is: its cascade-refined width, where its smallest trough holds
+    the floor.
     """
     if problem.n_sites > 3:
         raise ValueError("grid oracle only covers n_sites <= 3")
-    grid, circle = _search_grid(problem), _circle(problem.n_sites)
     if problem.n_sites == 1:
-        return _finalize(np.empty(0), problem, circle, evals=1)
+        return _finalize(np.empty(0), problem, evals=1)
 
     evals = 0
 
     def objective(f: float) -> float:
         nonlocal evals
         evals += 1
-        fracs = _mirror_fractions(np.array([f]), problem.n_sites)
-        try:
-            pb = _troughs(_coefficients(fracs), circle, peak=True)[0].min()
-        except SpectrumError:
+        r = _finalize(np.array([f]), problem, evals)
+        if r.bandwidth <= 0 or r.passband_min < problem.min_efficiency - 1e-9:
             return -np.inf
-        fwhm = _grid_fwhm(fracs, grid)
-        if fwhm <= 0 or pb < problem.min_efficiency - 1e-9:
-            return -np.inf
-        return fwhm
+        return r.bandwidth
 
     step = 1.0 / 400
     fs = np.arange(1, 201) * step
     scores = np.array([objective(f) for f in fs])
     if not np.any(np.isfinite(scores)):
-        return _finalize(np.array([0.5]), problem, circle, evals)
+        return _finalize(np.array([0.5]), problem, evals)
     f_best = fs[int(np.argmax(scores))]
 
     lo, hi = max(step / 2, f_best - step), min(0.5, f_best + step)
@@ -387,7 +350,7 @@ def grid_oracle(problem: OptimizationProblem) -> OptimizationResult:
         else:
             hi = m2
     f_best = (lo + hi) / 2
-    return _finalize(np.array([f_best]), problem, circle, evals)
+    return _finalize(np.array([f_best]), problem, evals)
 
 
 def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float:
@@ -395,7 +358,8 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
 
     Two virtual endpoint sites (fully unpolarized and fully polarized)
     are appended before fitting, anchoring the ramp shape even for short
-    arrays.
+    arrays.  The fit runs in rate fractions, so it does not depend on the
+    budget's scale.
     """
     prof = np.asarray(gamma1_per_site, dtype=float)
     n = len(prof)
@@ -405,14 +369,14 @@ def fit_tanh_beta(gamma1_per_site: Sequence[float], gamma_total: float) -> float
     for i, g in enumerate(prof.tolist()):
         _number(f"gamma1_per_site[{i}]", g)
     _number("gamma_total", gamma_total, gt=0)
-    if np.any(np.diff(prof) < -1e-12 * gamma_total):
+    y = np.concatenate([[0.0], prof / gamma_total, [1.0]])
+    if np.any(np.diff(y[1:-1]) < -1e-12):
         raise ValueError("profile must be monotone nondecreasing")
-    y = np.concatenate([[0.0], prof, [gamma_total]])
     d = np.arange(0, n + 2) / (n + 1)
 
     def sse(beta):
         # one sum per beta; an array of betas is scanned in one broadcast
-        model = gamma_total / 2 * (np.tanh(np.multiply.outer(beta, d - 0.5)) + 1.0)
+        model = 0.5 * (np.tanh(np.multiply.outer(beta, d - 0.5)) + 1.0)
         return np.sum((y - model) ** 2, axis=-1)
 
     betas = np.logspace(-2, 1.8, 200)
