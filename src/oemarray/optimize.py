@@ -269,8 +269,8 @@ def eliminated_bandwidth(gamma1_per_site: Sequence[float],
 def _finalize(fracs: np.ndarray, problem: OptimizationProblem, evals: int,
               solved: bool = True) -> OptimizationResult:
     """The result for free fractions ``fracs``: the bisection-refined width,
-    and the smallest refined trough as the floor, on which, with
-    ``solved``, convergence is judged."""
+    and the smallest trough as the floor, on which, with ``solved``,
+    convergence is judged."""
     profile = _mirror_fractions(fracs, problem.n_sites)
     gamma1 = tuple(float(f) * problem.gamma_total for f in profile)
     try:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oemarray.cascade as cascade
 import oemarray.optimize as opt
-from oemarray.core import FrequencyGrid
+from oemarray.core import FrequencyGrid, SpectrumError
 from oemarray.transducer import EliminatedSite
 from oemarray.cascade import _t21, array_transfer, eliminated_spectrum, extract_bandwidth
 from oemarray.optimize import (OptimizationProblem, OptimizationResult,
@@ -253,6 +253,20 @@ class TestSurrogate:
             assert np.max(np.abs(d_theta)) <= 1e-12
             sampled = coef @ basis
             assert v.min() <= cascade._halfmax(sampled.real ** 2 + sampled.imag ** 2)[4] + 1e-15
+
+    @pytest.mark.parametrize("coef", [[0.5, np.nan, -0.5], [np.inf, 0.0, -1.0],
+                                      [0.0, 0.0, 0.0]])
+    def test_unusable_coefficients_raise_spectrum_error(self, coef):
+        with pytest.raises(SpectrumError):
+            _troughs(np.array(coef))
+
+    def test_failed_root_step_raises_spectrum_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(SpectrumError, match="did not converge"):
+            _troughs(_coefficients(np.array([0.2, 0.5, 0.8])))
 
     @pytest.mark.parametrize("n", [3, 6, 11])
     def test_trough_gradients_match_central_differences(self, n):
