@@ -144,11 +144,12 @@ def _inv2(m: np.ndarray, what: str) -> np.ndarray:
     disc = np.sqrt(np.maximum(fro2 ** 2 - 4 * np.abs(det) ** 2, 0.0))
     hi = (fro2 + disc) / 2
     lo = (fro2 - disc) / 2
-    bad = (np.abs(det) == 0) | (lo <= 0) | (np.sqrt(hi / np.where(lo > 0, lo, 1.0))
-                                            > _COND_LIMIT)
+    # an overflowed block has a non-finite fro2, and NaN fails every comparison
+    bad = (~np.isfinite(fro2) | (np.abs(det) == 0) | (lo <= 0)
+           | (np.sqrt(hi / np.where(lo > 0, lo, 1.0)) > _COND_LIMIT))
     if np.any(bad):
         raise SingularMatrixError(
-            f"{what} is near-singular (condition number exceeds 1e12)")
+            f"{what} is near-singular (condition number exceeds 1e12) or not finite")
     inv = np.empty_like(m)
     inv[..., 0, 0] = m[..., 1, 1]
     inv[..., 0, 1] = -m[..., 0, 1]

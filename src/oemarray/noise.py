@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ArrayConfig, FrequencyGrid, SiteParams, _count, _number, _write_csv,
-                   materialize_sites)
+from .core import (ArrayConfig, FrequencyGrid, SiteParams, SpectrumError, _count, _number,
+                   _write_csv, materialize_sites)
 from .cascade import Spectrum, _mul2, _site_matrices, _t21, extract_bandwidth
 from .transducer import (BogoliubovSite, _full_terms, _lifted, _omega_factors,
                          scattering_bogoliubov)
@@ -110,6 +110,8 @@ def _added_noise_terms(sites, w, n_bar):
         s2 += np.abs(d10 * v1 + d11 * v2) ** 2 * strength
         if j > 1:
             downstream = _mul2(downstream, next(matrices))
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+        raise SpectrumError("added-noise density is not finite")
     return s1, s2
 
 
@@ -226,7 +228,10 @@ def _bogoliubov_cascade(sites, omega_m, w):
 
 def _stokes_density(sites, omega_m, w):
     t = _bogoliubov_cascade(sites, omega_m, w)
-    return np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
+    density = np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
+    if not np.isfinite(density).all():
+        raise SpectrumError("Stokes density is not finite")
+    return density
 
 
 def integrated_stokes_noise(config: ArrayConfig, omega_m: float,

@@ -120,7 +120,8 @@ def _lifted(terms, rates, w, *factors):
     otherwise break passivity, and numpy's complex division, which forms
     1/den, would overflow.  Only those frequencies are lifted; the others
     could overflow if they were.  Raises ``SingularMatrixError`` where the
-    lifted denominator is 0.
+    lifted denominator is 0, and a ValueError naming ``omega`` where it is
+    not finite: the lift brings every finite ``w`` into range.
     """
     try:
         values = terms(*rates, w, *factors)
@@ -137,6 +138,9 @@ def _lifted(terms, rates, w, *factors):
         lift = 300 - np.frexp(max(*rates, np.abs(w[at]).max()))[1]
         lifted = terms(*np.ldexp(np.array(rates, dtype=float), lift),
                        np.ldexp(w[at], lift))
+        finite = np.isfinite(lifted[0])
+        if not finite.all():
+            _number("omega", w[at][~finite][0])
         if np.any(lifted[0] == 0):
             raise SingularMatrixError(
                 "scattering matrix is singular at a requested frequency")
@@ -201,11 +205,11 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
     real frequency.  Accurate to O(g**2/kappa**2) relative to
     ``scattering_full`` for frequencies well inside the cavity linewidth.
 
-    Entries are homogeneous of degree 0 in (gamma1, gamma2, omega), so rates
-    below 2**-500 or above 2**500 are scaled there, with omega, by a power
-    of two that takes the larger rate to about 2**-500: this keeps
-    gamma1*gamma2 and the denominator normal and finite.  Lifted up, |omega|
-    is clipped to 2**600, where the response is already the identity.
+    Entries are ratios of terms of degree 1 in (gamma1, gamma2, omega), which
+    ``_lifted`` scales as in ``scattering_full``; the off-diagonal term takes
+    sqrt(gamma1)*sqrt(gamma2), normal for every normal rate, where
+    gamma1*gamma2 need not be.  An uncoupled site raises
+    ``SingularMatrixError`` at zero frequency.
 
     ``_iw`` and ``_entries`` are private, as ``scattering_full``'s keywords:
     ``_iw`` is ``1j * omega``, which ``cascade._site_matrices`` computes once
@@ -213,24 +217,19 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
     returns the entries, which it folds, in place of the matrix.
     """
     w = np.asarray(omega, dtype=float)
-    G1, G2 = site.gamma1, site.gamma2
-    if G1 == 0 and G2 == 0 and np.any(w == 0):
-        raise SingularMatrixError(
-            "uncoupled eliminated site has no response at zero frequency")
-    top = max(G1, G2)
-    if 0 < top < 2.0 ** -500 or top > 2.0 ** 500:
-        lift = -500 - np.frexp(top)[1]
-        G1, G2 = np.ldexp(G1, lift), np.ldexp(G2, lift)
-        if lift > 0:
-            w = np.clip(w, -2.0 ** (600 - lift), 2.0 ** (600 - lift))
-        w = np.ldexp(w, lift)
-        _iw = None
-
-    iw = 1j * w if _iw is None else _iw
-    den = 2 * (G1 + G2) - iw
-    off = -4 * math.sqrt(G1 * G2) / den
-    s = ((-2 * (G1 - G2) - iw) / den, off, off, (2 * (G1 - G2) - iw) / den)
+    den, num11, num12, num22 = _lifted(_eliminated_terms, (site.gamma1, site.gamma2),
+                                      w, _iw)
+    off = num12 / den
+    s = (num11 / den, off, off, num22 / den)
     return s if _entries else _pack22(s, w.shape)
+
+
+def _eliminated_terms(G1, G2, w, iw=None):
+    """Denominator and the three numerators of ``scattering_eliminated``,
+    from ``iw = 1j * w`` when given."""
+    iw = 1j * w if iw is None else iw
+    return (2 * (G1 + G2) - iw, -2 * (G1 - G2) - iw,
+            -4 * math.sqrt(G1) * math.sqrt(G2), 2 * (G1 - G2) - iw)
 
 
 def offres_coefficients(site: SiteParams, omega):

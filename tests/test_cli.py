@@ -178,6 +178,21 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["loss", "--param", "epsilon", "--values", "0.999999", "--n", "400"],
+         "near-singular"),
+        (["backscatter", "--ratios", "0.1", "--zeta", "1e300"], "near-singular"),
+        (["noise", "--n", "2", "--n-bar", "1e308", "--gamma", "1"],
+         "added-noise density is not finite"),
+        (["stokes", "--n", "2", "--omega-m", "1e-300"], "Stokes density is not finite"),
+    ], ids=["lossy-product", "lossy-link", "noise-strength", "stokes-product"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    def test_overflow_exits_three_without_files(self, tmp_path, capsys, argv, message):
+        # each lossy product or noise density overflows the float range
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

@@ -13,11 +13,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oemarray import (
+    ArrayConfig,
     BogoliubovSite,
+    CouplingProfile,
     EliminatedSite,
+    FrequencyGrid,
     LossySite,
     SingularMatrixError,
     SiteParams,
+    array_transfer,
+    conversion_spectrum,
     noise_coupling_vector,
     scattering_bogoliubov,
     scattering_eliminated,
@@ -167,8 +172,9 @@ def test_kernels_are_scale_free(kernel, scale):
     # underflow unless they are lifted, and the Bogoliubov kernel's, of
     # degree 1, stays normal down to 2**-1000.  At 1e120 the cubic terms
     # overflow, and at 1e200 so does the square of a Python float rate,
-    # unless they are lifted down.  The eliminated kernel's gamma1*gamma2
-    # underflows at 2**-1000 and overflows at 1e160 unless it is lifted.
+    # unless they are lifted down.  The eliminated kernel takes
+    # sqrt(gamma1)*sqrt(gamma2), since gamma1*gamma2 underflows at 2**-1000
+    # and overflows at 1e160.
     def response(scale):
         site = SiteParams(scale, 2 * scale, scale, 3 * scale, scale)
         w = scale * np.array([0.0, 1.0])
@@ -184,3 +190,32 @@ def test_kernels_are_scale_free(kernel, scale):
         return scattering_bogoliubov(BogoliubovSite(site, 10 * scale), 10 * scale + w)
 
     np.testing.assert_allclose(response(scale), response(1.0), rtol=0, atol=1e-12)
+
+
+_SITE = SiteParams(0.1, 0.1, 1.0, 1.0, 0.01)
+_NON_FINITE_CALLS = {
+    "full": lambda w: scattering_full(_SITE, w),
+    "eliminated": lambda w: scattering_eliminated(EliminatedSite(0.02, 0.03), w),
+    "vector": lambda w: noise_coupling_vector([_SITE], 1, w),
+    "two-sided": lambda w: scattering_two_sided(LossySite(site=_SITE, kappa_l1=0.1), w),
+    "array": lambda w: array_transfer([_SITE, EliminatedSite(0.02, 0.03)], w),
+    "evaluator": lambda w: conversion_spectrum(
+        ArrayConfig(n_sites=3, kappa1=1.0, kappa2=1.0,
+                    profile=CouplingProfile("linear", 0.1, 0.1)),
+        FrequencyGrid(-2.0, 2.0, 11)).evaluator(w),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("in_array", [False, True], ids=["scalar", "array"])
+@pytest.mark.filterwarnings(
+    # at +-inf the first, unlifted evaluation overflows, as it does at 1e120
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_frequency_raises(call, value, in_array):
+    # the lift brings any finite frequency into range, so a lifted
+    # denominator that is not finite names the frequency
+    omega = np.array([0.0, 1.0, value, value]) if in_array else value
+    with pytest.raises(ValueError, match=f"^omega must be finite, got {value}$"):
+        _NON_FINITE_CALLS[call](omega)

@@ -241,6 +241,14 @@ class TestScatteringEliminated:
     # second the zero matrix (G1*G2 underflowed)
     @example(G1=5e-324, G2=5e-324, w=0.0)
     @example(G1=1e-200, G2=1e-200, w=0.0)
+    # rates where gamma1*gamma2 underflows or overflows while the
+    # denominator stays normal, at frequencies from 0 to near overflow
+    @example(G1=2.0 ** -520, G2=2.0 ** -519, w=0.0)
+    @example(G1=2.0 ** -520, G2=2.0 ** -519, w=1e-300)
+    @example(G1=2.0 ** -520, G2=2.0 ** -519, w=1.0)
+    @example(G1=2.0 ** -520, G2=2.0 ** -519, w=1e300)
+    @example(G1=1e300, G2=2e300, w=0.0)
+    @example(G1=1e300, G2=2e300, w=1e308)
     def test_unitary_for_real_frequencies(self, G1, G2, w):
         if G1 == G2 == 0.0 and w == 0.0:
             return
