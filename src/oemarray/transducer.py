@@ -217,16 +217,14 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
     returns the entries, which it folds, in place of the matrix.
     """
     w = np.asarray(omega, dtype=float)
-    den, num11, num12, num22 = _lifted(_eliminated_terms, (site.gamma1, site.gamma2),
-                                      w, _iw)
+    den, num11, num12, num22 = _lifted(_eliminated_terms, (site.gamma1, site.gamma2), w, _iw)
     off = num12 / den
     s = (num11 / den, off, off, num22 / den)
     return s if _entries else _pack22(s, w.shape)
 
 
 def _eliminated_terms(G1, G2, w, iw=None):
-    """Denominator and the three numerators of ``scattering_eliminated``,
-    from ``iw = 1j * w`` when given."""
+    """``scattering_eliminated``'s denominator and numerators; ``iw`` is 1j*w."""
     iw = 1j * w if iw is None else iw
     return (2 * (G1 + G2) - iw, -2 * (G1 - G2) - iw,
             -4 * math.sqrt(G1) * math.sqrt(G2), 2 * (G1 - G2) - iw)
