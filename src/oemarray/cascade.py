@@ -4,9 +4,7 @@ An array of transducer sites acts on the two propagating fields as the
 ordered matrix product T(omega) = S_N ... S_1.  This module builds that
 product, sweeps it over a frequency grid, and extracts the figures of
 merit used throughout: conversion bandwidth (numeric and closed-form),
-passband ripple, accumulated conversion phase, and the waveguide
-dispersion relation that controls bandwidth saturation for unequal
-cavity linewidths.
+passband ripple and accumulated conversion phase.
 
 One site loop, ``_fold``, builds the product.  It folds the entries the
 public site kernels return (``_entries=True``), called once per site because
@@ -46,7 +44,6 @@ from .transducer import (
     EliminatedSite,
     _omega_factors,
     _pack22,
-    offres_coefficients,
     scattering_eliminated,
     scattering_full,
 )
@@ -60,9 +57,7 @@ __all__ = [
     "extract_bandwidth",
     "bandwidth_analytic",
     "halfmax_roots_analytic",
-    "perturbative_t21",
     "phase_winding",
-    "waveguide_dispersion",
     "spectrum_to_csv",
     "bandwidth_to_json",
 ]
@@ -376,35 +371,6 @@ def halfmax_roots_analytic(g: float, kappa: float, n_sites: int):
     return -omega_plus, omega_plus
 
 
-def perturbative_t21(config: ArrayConfig, omega):
-    """First-order conversion amplitude t^(N-1) * sum_j c_j.
-
-    Valid far from the mechanical resonance where every per-site
-    conversion amplitude c_j is small; a UserWarning is emitted when
-    max |c_j| exceeds 0.1.  Requires one common cavity linewidth across
-    the array.
-    """
-    sites = materialize_sites(config)
-    kappas = {s.kappa1 for s in sites} | {s.kappa2 for s in sites}
-    if len(kappas) != 1:
-        raise ValueError(
-            "perturbative form requires one common cavity linewidth")
-
-    total = 0.0 + 0.0j
-    worst = 0.0
-    t = None
-    for site in sites:
-        t, c = offres_coefficients(site, omega)
-        total = total + c
-        worst = max(worst, float(np.max(np.abs(c))))
-    if worst > 0.1:
-        warnings.warn(
-            f"per-site conversion amplitude reaches {worst:.3g}; "
-            "perturbative result unreliable this close to resonance",
-            stacklevel=2)
-    return t ** (len(sites) - 1) * total
-
-
 def phase_winding(spectrum: Spectrum) -> float:
     """Total phase accumulated by T21 across the grid, in radians.
 
@@ -420,17 +386,6 @@ def phase_winding(spectrum: Spectrum) -> float:
         raise SpectrumError(
             "phase aliasing: adjacent grid points differ by >= pi")
     return float(np.sum(steps))
-
-
-def waveguide_dispersion(omega, v: float, kappa_eff: float):
-    """Wavenumber of a propagating field dressed by the cavity chain."""
-    _number("v", v, gt=0)
-    _number("kappa_eff", kappa_eff, ge=0)
-    w = np.asarray(omega, dtype=float)
-    if np.any(w == 0):
-        raise ValueError("dispersion relation has a pole at omega = 0")
-    k = w / v - kappa_eff ** 2 / (v * w)
-    return float(k) if w.ndim == 0 else k
 
 
 def spectrum_to_csv(spectrum: Spectrum, path) -> None:

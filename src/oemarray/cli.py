@@ -16,6 +16,8 @@ import time
 from dataclasses import replace
 from functools import cache, partial
 
+import numpy as np
+
 from . import __version__
 from .cascade import (
     bandwidth_analytic,
@@ -405,7 +407,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         doc = _read_doc(args.config) if args.config else {}
-        config, writers, *code = args.func(args, doc)
+        # data are checked finite before any write; numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            config, writers, *code = args.func(args, doc)
         outputs = [f"{args.out}{suffix}" for suffix in writers]
         for path, write in zip(outputs, writers.values()):
             write(path)

@@ -213,7 +213,7 @@ def _warn_unresolved(sites, omega_m):
     kappa_max = max(max(s.kappa1, s.kappa2) for s in sites)
     if kappa_max / omega_m > 0.3:
         warnings.warn(
-            f"kappa/omega_m = {kappa_max / omega_m:.2f} is outside the "
+            f"kappa/omega_m = {kappa_max / omega_m:.3g} is outside the "
             "resolved-sideband regime; Stokes densities are not a small "
             "correction here", stacklevel=3)
 

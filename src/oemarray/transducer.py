@@ -30,7 +30,6 @@ __all__ = [
     "scattering_full",
     "scattering_resonant",
     "scattering_eliminated",
-    "offres_coefficients",
     "scattering_bogoliubov",
 ]
 
@@ -230,30 +229,6 @@ def _eliminated_terms(G1, G2, w, iw=None):
             -4 * math.sqrt(G1) * math.sqrt(G2), 2 * (G1 - G2) - iw)
 
 
-def offres_coefficients(site: SiteParams, omega):
-    """Off-resonant transmission and conversion amplitudes ``(t, c)``.
-
-    In the weak-conversion regime each site transmits a same-port signal
-    with the unit-modulus amplitude ``t`` and converts a small amplitude
-    ``c`` to the other port.  Requires equal cavity linewidths; accurate
-    only away from the mechanical resonance.
-    """
-    if site.kappa1 != site.kappa2:
-        raise ValueError("off-resonant coefficients require kappa1 == kappa2")
-    k = site.kappa1
-    w = np.asarray(omega, dtype=float)
-    dk = k - 2j * w
-    dm = site.gamma - 2j * w
-    if np.any(dk * dk * dm == 0):
-        raise SingularMatrixError(
-            "off-resonant expansion is singular at a requested frequency")
-    t = (k + 2j * w) / dk
-    c = -8 * site.g1 * site.g2 * k / (dk * dk * dm)
-    if w.ndim == 0:
-        return complex(t), complex(c)
-    return t, c
-
-
 def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     """4x4 scattering matrix with counter-rotating terms retained.
 
@@ -268,7 +243,8 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     g_p*sqrt(kappa_p)/d_p, den = m_-*m_+/(32i*omega_m) + 2i*omega_m*sum_i
     g_i**2/(d_i*d_i+2) and m_-+ = gamma - 2i(omega -+ omega_m).  No product
     is of degree above 1 in the rates.  Raises ``SingularMatrixError`` where
-    den is 0 (uncoupled, lossless mechanics at omega = omega_m) or subnormal.
+    den is 0 (uncoupled, lossless mechanics at omega = omega_m) or subnormal,
+    and a ValueError naming ``omega`` where omega is not finite.
     """
     s, om = bsite.site, bsite.omega_m
     w = np.asarray(omega, dtype=float)
@@ -279,6 +255,8 @@ def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:
     den = ((s.gamma - lo) * ((s.gamma - hi) / (32j * om))
            + 2j * om * (ratio[0] * ratio[2] + ratio[1] * ratio[3]))
     if not np.all(np.abs(den) >= _TINY):
+        if not np.isfinite(w).all():
+            _number("omega", w[~np.isfinite(w)][0])
         raise SingularMatrixError("scattering matrix is singular at a requested frequency")
     a = [x * math.sqrt(k) for x, k in zip(ratio, kappa)]
     m = np.empty(w.shape + (4, 4), dtype=complex)

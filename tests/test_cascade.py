@@ -28,15 +28,12 @@ from oemarray.cascade import (
     eliminated_spectrum,
     extract_bandwidth,
     halfmax_roots_analytic,
-    perturbative_t21,
     phase_winding,
     spectrum_to_csv,
-    waveguide_dispersion,
 )
 from oemarray.optimize import eliminated_bandwidth
 from oemarray.transducer import (
     EliminatedSite,
-    offres_coefficients,
     scattering_eliminated,
     scattering_full,
 )
@@ -550,44 +547,6 @@ class TestHalfmaxRoots:
         assert two_wp == pytest.approx(numeric, rel=0.10)
 
 
-class TestPerturbative:
-    def test_single_site_is_bare_conversion_amplitude(self):
-        cfg = ArrayConfig(n_sites=1, profile=CouplingProfile.explicit([(0.08, 0.08)]),
-                          kappa1=1.0, kappa2=1.0, gamma=0.0)
-        _, c = offres_coefficients(materialize_sites(cfg)[0], 0.7)
-        assert perturbative_t21(cfg, 0.7) == pytest.approx(c, rel=1e-12)
-
-    def test_linear_profile_closed_form(self):
-        n, g, w = 5, 0.08, 0.9
-        cfg = ArrayConfig(n_sites=n, profile=CouplingProfile.linear(g),
-                          kappa1=1.0, kappa2=1.0, gamma=0.0)
-        t = (1 + 2j * w) / (1 - 2j * w)
-        closed = t ** (n - 1) * 8 * g * g / ((1 - 2j * w) ** 2 * (-2j * w)) \
-            * (1 - n * n) / (6 * n)
-        assert perturbative_t21(cfg, w) == pytest.approx(closed, rel=1e-12)
-
-    def test_matches_full_cascade_off_resonance(self):
-        cfg = ArrayConfig(n_sites=50, profile=CouplingProfile.linear(0.08),
-                          kappa1=1.0, kappa2=1.0, gamma=0.0)
-        approx = perturbative_t21(cfg, 2.0)
-        exact = array_transfer(materialize_sites(cfg), 2.0)[1, 0]
-        assert abs(approx - exact) / abs(exact) < 0.10
-
-    def test_warns_close_to_resonance(self):
-        cfg = ArrayConfig(n_sites=3,
-                          profile=CouplingProfile.explicit([(0.08, 0.08)] * 3),
-                          kappa1=1.0, kappa2=1.0, gamma=0.0)
-        with pytest.warns(UserWarning, match="unreliable"):
-            val = perturbative_t21(cfg, 0.01)
-        assert isinstance(val, complex)
-
-    def test_mixed_linewidths_rejected(self):
-        cfg = ArrayConfig(n_sites=3, profile=CouplingProfile.linear(0.08),
-                          kappa1=1.0, kappa2=1.2, gamma=0.0)
-        with pytest.raises(ValueError):
-            perturbative_t21(cfg, 1.0)
-
-
 class TestPhaseWinding:
     # the winding accumulates over a band that grows with the array; a
     # window of +-0.65*N picks up the full 2*pi*N while excluding the slow
@@ -609,35 +568,6 @@ class TestPhaseWinding:
                       t21=np.array([1.0 + 0j, -1.0 + 0j]))
         with pytest.raises(SpectrumError, match="aliasing"):
             phase_winding(sp)
-
-
-class TestWaveguideDispersion:
-    def test_bare_dispersion_without_dressing(self):
-        w = np.array([0.3, 1.0, -2.0])
-        np.testing.assert_allclose(waveguide_dispersion(w, 2.0, 0.0), w / 2.0)
-
-    def test_zero_crossing_at_effective_rate(self):
-        assert waveguide_dispersion(0.7, 1.0, 0.7) == pytest.approx(0.0, abs=1e-15)
-
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            waveguide_dispersion(0.0, 1.0, 0.1)
-
-    @pytest.mark.parametrize("args,field", [
-        ((1.0, math.nan, 1.0), "v"),
-        ((1.0, 1.0, math.inf), "kappa_eff"),
-    ])
-    def test_rejects_non_finite_rates(self, args, field):
-        # nan was returned
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            waveguide_dispersion(*args)
-
-    def test_unequal_rates_never_phase_matched(self):
-        # mismatch k1-k2 = (k2_eff^2 - k1_eff^2)/(v w) has no root at finite w
-        w = np.linspace(0.05, 5.0, 200)
-        k1 = waveguide_dispersion(w, 1.0, 0.3)
-        k2 = waveguide_dispersion(w, 1.0, 0.5)
-        assert np.all(np.abs(k1 - k2) > 0)
 
 
 class TestArrayScalingProperties:

@@ -186,7 +186,7 @@ class TestExitCodes:
          "added-noise density is not finite"),
         (["stokes", "--n", "2", "--omega-m", "1e-300"], "Stokes density is not finite"),
     ], ids=["lossy-product", "lossy-link", "noise-strength", "stokes-product"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore::UserWarning")
     def test_overflow_exits_three_without_files(self, tmp_path, capsys, argv, message):
         # each lossy product or noise density overflows the float range
         assert main([*argv, "--out", str(tmp_path / "x")]) == 3

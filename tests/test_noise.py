@@ -329,6 +329,9 @@ class TestStokesNoise:
         grid = FrequencyGrid(1.0, 3.0, 11)
         with pytest.warns(UserWarning, match="resolved-sideband"):
             stokes_noise_spectrum(cfg, 2.0, grid)
+        # the ratio is printed to 3 significant digits, not in full
+        with pytest.warns(UserWarning, match=r"kappa/omega_m = 1e\+300 is outside"):
+            stokes_noise_spectrum(cfg, 1e-300, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stokes_noise_spectrum(cfg, OMEGA_M, grid)

@@ -27,9 +27,9 @@ def test_public_names_are_the_modules_all_lists():
             assert getattr(oemarray, name) is getattr(module, name)
     # no module's name shadows another's
     exported = [name for module in modules for name in module.__all__]
-    assert len(set(exported)) == len(exported) == 67
+    assert len(set(exported)) == len(exported) == 64
     assert set(public) == set(exported) | set(MODULES)
-    assert len(public) == 73
+    assert len(public) == 70
 
 
 def test_src_imports_no_scipy():

@@ -8,13 +8,17 @@ them to 1e-12, and must raise ``SingularMatrixError`` where the solve finds
 the system singular.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oemarray
 from oemarray import (
     ArrayConfig,
     BogoliubovSite,
+    CellLink,
     CouplingProfile,
     EliminatedSite,
     FrequencyGrid,
@@ -23,6 +27,7 @@ from oemarray import (
     SiteParams,
     array_transfer,
     conversion_spectrum,
+    lossy_array_scattering,
     noise_coupling_vector,
     scattering_bogoliubov,
     scattering_eliminated,
@@ -193,17 +198,30 @@ def test_kernels_are_scale_free(kernel, scale):
 
 
 _SITE = SiteParams(0.1, 0.1, 1.0, 1.0, 0.01)
+_LOSSY = LossySite(site=_SITE, kappa_l1=0.1)
+# every public function with an ``omega`` parameter, by name, and the
+# spectrum's evaluator
 _NON_FINITE_CALLS = {
-    "full": lambda w: scattering_full(_SITE, w),
-    "eliminated": lambda w: scattering_eliminated(EliminatedSite(0.02, 0.03), w),
-    "vector": lambda w: noise_coupling_vector([_SITE], 1, w),
-    "two-sided": lambda w: scattering_two_sided(LossySite(site=_SITE, kappa_l1=0.1), w),
-    "array": lambda w: array_transfer([_SITE, EliminatedSite(0.02, 0.03)], w),
+    "scattering_full": lambda w: scattering_full(_SITE, w),
+    "scattering_eliminated": lambda w: scattering_eliminated(EliminatedSite(0.02, 0.03), w),
+    "scattering_bogoliubov": lambda w: scattering_bogoliubov(BogoliubovSite(_SITE, 10.0), w),
+    "noise_coupling_vector": lambda w: noise_coupling_vector([_SITE], 1, w),
+    "scattering_two_sided": lambda w: scattering_two_sided(_LOSSY, w),
+    "lossy_array_scattering": lambda w: lossy_array_scattering(
+        [_LOSSY, _LOSSY], [CellLink(zeta=0.1)], w),
+    "array_transfer": lambda w: array_transfer([_SITE, EliminatedSite(0.02, 0.03)], w),
     "evaluator": lambda w: conversion_spectrum(
         ArrayConfig(n_sites=3, kappa1=1.0, kappa2=1.0,
                     profile=CouplingProfile("linear", 0.1, 0.1)),
         FrequencyGrid(-2.0, 2.0, 11)).evaluator(w),
 }
+
+
+def test_every_public_frequency_function_is_in_the_non_finite_table():
+    takes_omega = {name for name, value in vars(oemarray).items()
+                   if name[0] != "_" and inspect.isfunction(value)
+                   and "omega" in inspect.signature(value).parameters}
+    assert takes_omega == set(_NON_FINITE_CALLS) - {"evaluator"}
 
 
 @pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oemarray import SingularMatrixError, SiteParams
+from oemarray import SingularMatrixError, SiteParams, classical_cooperativity
 from oemarray.cascade import array_transfer
 from oemarray.transducer import (
     BogoliubovSite,
     EliminatedSite,
-    offres_coefficients,
     scattering_bogoliubov,
     scattering_eliminated,
     scattering_full,
@@ -62,8 +61,8 @@ class TestScatteringFull:
             k1, k2 = rng.uniform(0.3, 3.0, 2)
             gamma = rng.uniform(1e-5, 0.1)
             site = SiteParams(g1=g1, g2=g2, kappa1=k1, kappa2=k2, gamma=gamma)
-            c1 = 4 * g1 ** 2 / (k1 * gamma)
-            c2 = 4 * g2 ** 2 / (k2 * gamma)
+            c1 = classical_cooperativity(g1, k1, gamma)
+            c2 = classical_cooperativity(g2, k2, gamma)
             np.testing.assert_allclose(
                 scattering_full(site, 0.0), scattering_resonant(c1, c2),
                 rtol=1e-10, atol=1e-10)
@@ -269,34 +268,6 @@ class TestScatteringEliminated:
                 diff = scattering_full(full_site, w) \
                     - t * scattering_eliminated(elim_site, w)
                 assert np.abs(diff).max() <= bound
-
-
-class TestOffresCoefficients:
-    def test_no_conversion_when_coupling_absent(self):
-        site = SiteParams(g1=0.0, g2=0.1, kappa1=1.0, kappa2=1.0, gamma=1e-4)
-        t, c = offres_coefficients(site, 0.7)
-        assert c == 0
-        assert abs(t) == pytest.approx(1.0, rel=1e-12)
-
-    def test_transmission_phase_at_half_linewidth(self):
-        site = SiteParams(g1=0.05, g2=0.05, kappa1=1.0, kappa2=1.0, gamma=0.0)
-        t, _ = offres_coefficients(site, 0.5)
-        assert t == pytest.approx(1j, abs=1e-15)
-
-    def test_conversion_close_to_full_model_off_resonance(self):
-        site = SiteParams(g1=0.08, g2=0.08, kappa1=1.0, kappa2=1.0, gamma=1e-4)
-        _, c = offres_coefficients(site, 1.0)
-        # frozen closed-form value: 8*g1*g2*kappa / (|k-2iw|^2 |gamma-2iw|)
-        assert abs(c) == pytest.approx(0.0512 / (5 * abs(1e-4 - 2j)), rel=1e-12)
-        # the expansion drops a term of relative size 8 g1 g2/|k-2iw||gamma-2iw|,
-        # about 1.1% at this operating point
-        s21 = scattering_full(site, 1.0)[1, 0]
-        assert abs(c) == pytest.approx(abs(s21), rel=1.2e-2)
-
-    def test_asymmetric_linewidths_rejected(self):
-        site = SiteParams(g1=0.05, g2=0.05, kappa1=1.0, kappa2=1.2, gamma=0.0)
-        with pytest.raises(ValueError):
-            offres_coefficients(site, 1.0)
 
 
 class TestScatteringBogoliubov:
