@@ -193,6 +193,16 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_numpy_error_state_is_left_as_found(self, tmp_path):
+        # the run silences numpy's warnings for itself only
+        before = np.geterr()
+        with np.errstate(over="raise"):
+            assert main(["stokes", "--n", "2", "--omega-m", "1e-300",
+                         "--out", str(tmp_path / "x")]) == 3
+            assert np.geterr()["over"] == "raise"
+        assert np.geterr() == before
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

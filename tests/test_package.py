@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -30,6 +31,15 @@ def test_public_names_are_the_modules_all_lists():
     assert len(set(exported)) == len(exported) == 64
     assert set(public) == set(exported) | set(MODULES)
     assert len(public) == 70
+
+
+def test_readme_names_every_function_that_takes_omega():
+    takes_omega = {name for name, value in vars(oemarray).items()
+                   if name[0] != "_" and inspect.isfunction(value)
+                   and "omega" in inspect.signature(value).parameters}
+    text = open(os.path.join(ROOT, "README.md"), encoding="utf-8").read()
+    sentence = text.split("public functions that take `omega`", 1)[1].split(")", 1)[0]
+    assert set(re.findall(r"`(\w+)`", sentence)) == takes_omega
 
 
 def test_src_imports_no_scipy():

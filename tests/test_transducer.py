@@ -317,6 +317,15 @@ class TestScatteringBogoliubov:
         with pytest.raises(SingularMatrixError):
             scattering_bogoliubov(bsite, np.array([9.5, 10.0]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_frequency_is_named_before_a_singular_one(self):
+        # a bad input is a usage error (CLI exit 2), not a numerical one, and
+        # the message names the first non-finite frequency
+        bsite = BogoliubovSite(
+            SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0), omega_m=10.0)
+        with pytest.raises(ValueError, match="^omega must be finite, got inf$"):
+            scattering_bogoliubov(bsite, np.array([10.0, np.inf, np.nan]))
+
     def test_invalid_mechanical_frequency(self):
         site = SiteParams(g1=0.05, g2=0.05, kappa1=1.0, kappa2=1.0)
         with pytest.raises(ValueError):
