@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 from functools import cache, partial
 
@@ -64,8 +65,8 @@ __all__ = ["main", "build_parser"]
 
 _DEFAULT_PROFILE = {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 4.5}
 
-# Peak bytes per grid point of the heaviest grid command, the Bogoliubov cascade
-# behind `stokes` (tracemalloc: 952-974 at 2001 and 20001 points, N = 10 and 50).
+# Peak bytes per grid point of the heaviest grid command, the Bogoliubov row fold
+# behind `stokes` (tracemalloc: 856-879 at 2001 and 20001 points, N = 10 and 50).
 _BYTES_PER_POINT = 1000
 
 
@@ -408,7 +409,8 @@ def main(argv=None) -> int:
     try:
         doc = _read_doc(args.config) if args.config else {}
         # data are checked finite before any write; numpy's warnings add nothing
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print("warning:", msg, file=sys.stderr)
             config, writers, *code = args.func(args, doc)
         outputs = [f"{args.out}{suffix}" for suffix in writers]
         for path, write in zip(outputs, writers.values()):

@@ -4,8 +4,8 @@ Each mechanical bath drives its site through the susceptibility vector
 V_j(omega); everything downstream of site j then scatters that
 contribution to the array output, and the independent equal-temperature
 baths sum incoherently with force spectral density 2*n_bar + 1 (vacuum
-normalized).  The Stokes part comes from cascading the counter-rotating
-model and reading off the amplification entries.
+normalized).  The Stokes part folds row 1 of the counter-rotating cascade
+S_N ... S_1 from the output end, the one row its density and band read.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def stokes_noise_spectrum(config: ArrayConfig, omega_m: float,
                           grid: FrequencyGrid) -> StokesSpectrum:
     """Amplification-noise density |T23|^2 + |T24|^2 on a lab-frame grid.
 
-    Cascades the counter-rotating site model across the array.  Emits a
+    Folds row 1 of the counter-rotating cascade across the array.  Emits a
     UserWarning outside the resolved-sideband regime (kappa/omega_m >
     0.3) where the density is no longer a small correction.
     """
@@ -218,17 +218,17 @@ def _warn_unresolved(sites, omega_m):
             "correction here", stacklevel=3)
 
 
-def _bogoliubov_cascade(sites, omega_m, w):
-    t = None
-    for site in sites:
+def _stokes_row(sites, omega_m, w):
+    """Row 1 of S_N ... S_1: r = S_N[1, :], then r <- r S_j for j = N-1 ... 1."""
+    row = None
+    for site in reversed(sites):
         s = scattering_bogoliubov(BogoliubovSite(site, omega_m), w)
-        t = s if t is None else s @ t
-    return t
+        row = s[..., 1, :] if row is None else np.einsum("...p,...pq->...q", row, s)
+    return row
 
 
 def _stokes_density(sites, omega_m, w):
-    t = _bogoliubov_cascade(sites, omega_m, w)
-    density = np.abs(t[..., 1, 2]) ** 2 + np.abs(t[..., 1, 3]) ** 2
+    density = np.sum(np.abs(_stokes_row(sites, omega_m, w)[..., 2:]) ** 2, axis=-1)
     if not np.isfinite(density).all():
         raise SpectrumError("Stokes density is not finite")
     return density
@@ -241,11 +241,9 @@ def integrated_stokes_noise(config: ArrayConfig, omega_m: float,
     sites = materialize_sites(config)
     _warn_unresolved(sites, omega_m)
     if window is None:
-        window = _band_window(
-            lambda w: _bogoliubov_cascade(sites, omega_m, w)[..., 1, 0],
-            band_grid, omega_m)
-    return float(_adaptive_trapezoid(
-        lambda w: _stokes_density(sites, omega_m, w), *window))
+        window = _band_window(lambda w: _stokes_row(sites, omega_m, w)[..., 0],
+                              band_grid, omega_m)
+    return float(_adaptive_trapezoid(lambda w: _stokes_density(sites, omega_m, w), *window))
 
 
 def noise_to_csv(spectrum: NoiseSpectrum, path) -> None:

@@ -131,3 +131,28 @@ def test_printed_summary_gives_the_verdict(tool, capsys):
 def test_tier1_counts_read_every_outcome(tool, last_line, counts):
     # an xfail is not read as a failure, and warnings are not counted
     assert tool.pytest_counts(last_line) == counts
+
+
+DURATIONS_OUTPUT = """\
+........................................................................ [ 99%]
+....                                                                     [100%]
+============================= slowest 5 durations ==============================
+4.95s call     tests/test_acceptance.py::test_07_stokes_noise
+2.78s call     tests/test_cascade.py::TestSize::test_monotone[a b]
+2.47s call     tests/test_optimize.py::test_floor_of_one_is_met_within_the_tolerance[200]
+0.51s setup    tests/test_cli.py::TestReadme::test_outputs
+0.01s teardown tests/test_cli.py::TestReadme::test_outputs
+636 passed in 27.12s
+"""
+
+
+def test_slowest_tests_are_read_from_the_durations_block(tool):
+    slowest = tool.slowest_tests(DURATIONS_OUTPUT)
+    assert [(t["seconds"], t["phase"]) for t in slowest] == [
+        (4.95, "call"), (2.78, "call"), (2.47, "call"), (0.51, "setup"), (0.01, "teardown")]
+    assert slowest[0]["test"] == "tests/test_acceptance.py::test_07_stokes_noise"
+    assert slowest[1]["test"] == "tests/test_cascade.py::TestSize::test_monotone[a b]"
+    # the block does not change the counts of the last line
+    last_line = DURATIONS_OUTPUT.strip().splitlines()[-1]
+    assert tool.pytest_counts(last_line)["passed"] == 636
+    assert tool.slowest_tests("636 passed in 27.12s\n") == []

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -505,6 +506,18 @@ class TestStokes:
         assert all(float(r[1]) >= 0 for r in rows)
         manifest = json.loads((tmp_path / "st_manifest.json").read_text())
         assert manifest["config"]["omega_m"] == 8.0
+
+    def test_warning_prints_its_message_alone(self, tmp_path, capsys):
+        # no file name, line number or source line of the program
+        shown = warnings.showwarning
+        assert main(["stokes", "--n", "2", "--points", "21", "--omega-m", "1",
+                     "--gamma", "5e-5", "--out", str(tmp_path / "st")]) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("warning: kappa/omega_m = 1 is outside the resolved-sideband")
+        assert "cli.py" not in err
+        # the printer is local to the run
+        assert warnings.showwarning is shown
 
 
 class TestLossSweep:

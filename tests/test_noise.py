@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oemarray import (
     ArrayConfig,
+    BogoliubovSite,
     CouplingProfile,
     FrequencyGrid,
     SingularMatrixError,
@@ -24,11 +25,12 @@ from oemarray import (
     materialize_sites,
     noise_coupling_vector,
     noise_to_csv,
+    scattering_bogoliubov,
     scattering_full,
     stokes_noise_spectrum,
     stokes_to_csv,
 )
-from oemarray.noise import _adaptive_trapezoid
+from oemarray.noise import _adaptive_trapezoid, _stokes_row
 
 KAPPA = 1.0
 GAMMA_M = 5e-5
@@ -381,6 +383,40 @@ class TestStokesNoise:
         inner = np.abs(w - peak) <= 0.25
         frac = np.trapezoid(sp.density[inner], w[inner]) / np.trapezoid(sp.density, w)
         assert frac > 0.8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(0.01, 0.3), st.floats(0.01, 0.3)),
+                       min_size=1, max_size=12),
+        kappa1=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+        kappa2=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+        gamma=st.floats(0.0, 0.01),
+        omega_m=st.floats(2.0, 50.0),
+    )
+    def test_row_fold_matches_matmul_product(self, pairs, kappa1, kappa2, gamma, omega_m):
+        # reference: row 1 of the full product S_N ... S_1, accumulated by
+        # matmul from the input end
+        cfg = ArrayConfig(n_sites=len(pairs), profile=CouplingProfile.explicit(pairs),
+                          kappa1=kappa1, kappa2=kappa2, gamma=gamma)
+        sites = materialize_sites(cfg)
+        w = omega_m + np.linspace(-1.5, 1.5, 61)
+        product = np.eye(4)
+        for site in sites:
+            product = np.matmul(scattering_bogoliubov(BogoliubovSite(site, omega_m), w),
+                                product)
+        ref = product[..., 1, :]
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.all(np.abs(_stokes_row(sites, omega_m, w) - ref) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_lossless_row_keeps_the_commutators(self, n):
+        # a lossless Bogoliubov cascade preserves eta = diag(1, 1, -1, -1), so
+        # its row 1 has |r0|^2 + |r1|^2 - |r2|^2 - |r3|^2 = 1
+        cfg = ArrayConfig(n_sites=n, profile=CouplingProfile.tanh(0.08), gamma=0.0)
+        w = FrequencyGrid(OMEGA_M - 1.5, OMEGA_M + 1.5, 401).points()
+        row = np.abs(_stokes_row(materialize_sites(cfg), OMEGA_M, w)) ** 2
+        norm = row[:, 0] + row[:, 1] - row[:, 2] - row[:, 3]
+        np.testing.assert_allclose(norm, 1.0, rtol=0, atol=1e-12)
 
     def test_window_override_and_validation(self):
         cfg = stokes_config(2, 1.0)

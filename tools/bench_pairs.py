@@ -22,9 +22,10 @@ against the parent's, and its report is recorded; the exit code is 1 when
 they differ.
 
 With ``--tier1``, ``TIER1_PAIRS`` more alternating pairs run the Tier-1
-suite, ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``,
-in each checkout, and record its wall time and the passed, failed, error,
-xfailed, xpassed and skipped counts of pytest's last line.
+suite, ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+--durations=5``, in each checkout, and record its wall time, the passed,
+failed, error, xfailed, xpassed and skipped counts of pytest's last line, and
+the five slowest tests of pytest's durations block with their seconds.
 
 With ``--trace K``, traced run k (k = 1 .. K) runs ``python3 perfbench/run.py
 --workload W --seed k --seconds T --trace 1`` once in each checkout, in the
@@ -235,7 +236,7 @@ def traced_runs(dirs: dict, workload: str, k: int, seconds: float,
     return {"runs": runs, "summary": summary}
 
 
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 TIER1_PAIRS = 2
 TIER1_COUNTS = ("passed", "failed", "errors", "xfailed", "xpassed", "skipped")
 # the counts on pytest's last line, e.g. "2 failed, 353 passed, 1 xfailed, 1 warning
@@ -251,8 +252,29 @@ def pytest_counts(last_line: str) -> dict:
     return counts
 
 
+# pytest's durations block: a header, then one line per test, slowest first, e.g.
+# "3.82s call     tests/test_acceptance.py::test_criterion_07_stokes_noise_properties"
+_DURATIONS_HEADER = re.compile(r"^=+ slowest \d+ durations =+$")
+_DURATION = re.compile(r"([0-9.]+)s (setup|call|teardown) +(\S.*)")
+
+
+def slowest_tests(output: str) -> list:
+    """The tests of pytest's durations block in ``output``, slowest first, each
+    with its phase and seconds; empty when there is no block."""
+    lines = output.splitlines()
+    start = next((i + 1 for i, line in enumerate(lines) if _DURATIONS_HEADER.match(line)),
+                 len(lines))
+    slowest = []
+    for match in map(_DURATION.fullmatch, lines[start:]):
+        if match is None:
+            break
+        slowest.append({"test": match[3], "phase": match[2], "seconds": float(match[1])})
+    return slowest
+
+
 def run_tier1(checkout: str) -> dict:
-    """One Tier-1 run in a checkout: wall time, counts and exit code."""
+    """One Tier-1 run in a checkout: wall time, counts, the slowest tests and
+    exit code."""
     started = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=_src_env(checkout),
                           capture_output=True, text=True)
@@ -260,7 +282,7 @@ def run_tier1(checkout: str) -> dict:
     lines = proc.stdout.strip().splitlines()
     last_line = lines[-1] if lines else ""
     return {"wall_s": wall, **pytest_counts(last_line), "exit": proc.returncode,
-            "last_line": last_line}
+            "last_line": last_line, "slowest": slowest_tests(proc.stdout)}
 
 
 def tier1_pairs(dirs: dict) -> dict:
@@ -275,9 +297,10 @@ def tier1_pairs(dirs: dict) -> dict:
     return {
         "description": (
             "The Tier-1 suite, `PYTHONPATH=src python -m pytest -q "
-            "--continue-on-collection-errors`, run in each checkout in alternating "
-            "pairs, the parent first on odd pairs: process wall time in seconds and "
-            "the counts of pytest's last line."),
+            "--continue-on-collection-errors --durations=5`, run in each checkout in "
+            "alternating pairs, the parent first on odd pairs: process wall time in "
+            "seconds, the counts of pytest's last line and, under `slowest`, the five "
+            "slowest tests of pytest's durations block with their phase and seconds."),
         "pairs": pairs,
         "summary": summarize(pairs, [{"name": "wall_s", "better": "lower"},
                                      {"name": "passed", "better": "higher"},
