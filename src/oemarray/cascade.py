@@ -6,19 +6,23 @@ product, sweeps it over a frequency grid, and extracts the figures of
 merit used throughout: conversion bandwidth (numeric and closed-form),
 passband ripple and accumulated conversion phase.
 
-One site loop, ``_fold``, builds the product.  It folds the entries the
-public site kernels return (``_entries=True``), called once per site because
-the benchmark times them, and within one call the full sites of equal
-linewidths share the frequency factors of ``scattering_full``
-(``_site_matrices``, which the noise cascade's suffix sum uses too).
-``array_transfer`` folds all four entries.  The callers that read only T21
-fold column 0 alone (``_t21``), which gives the same bits from half the
-products: the spectrum's evaluator and the noise band window.  The
-spectrum's own sweep stays on ``array_transfer``, because the benchmark's
-cascade sweep metric is timed from those calls.  The optimizer's surrogate
-calls no site kernel: with the rate budget fixed, it builds T21 and its
-gradients from the sites' polynomial (``optimize._columns``), and only its
-refined results come from this module.
+One site loop, ``_fold``, builds the product from the sites' entries, and
+within one call the full sites of equal linewidths share the frequency
+factors of ``scattering_full``.  ``array_transfer`` folds all four entries,
+from the public site kernels (``_entries=True``, ``_site_matrices``, which
+the noise cascade's suffix sum uses too), called once per site because the
+benchmark times them.  The callers that read only T21 fold column 0 alone
+(``_t21``), which gives the same bits from half the products: the
+spectrum's evaluator and the noise band window.  On an array of
+frequencies ``_t21`` computes the kernels' closed form for a block of sites
+at once (``_block_matrices``), so the bisection rounds' small arrays pay
+numpy's per-call overhead per block, not per site; a scalar frequency (the
+bracket ends) still takes one kernel call per site.  The spectrum's own
+sweep stays on ``array_transfer``, because the benchmark's cascade sweep
+metric is timed from those calls.  The optimizer's surrogate calls no site
+kernel: with the rate budget fixed, it builds T21 and its gradients from
+the sites' polynomial (``optimize._columns``), and only its refined results
+come from this module.
 Half-max crossings are refined by exact batched bisection: the result is
 bit for bit that of a scalar bisection loop, but each round evaluates the
 spectrum's evaluator once, on an array of candidate midpoints.
@@ -30,6 +34,7 @@ lossy two-sided model reinstates it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -41,7 +46,14 @@ import numpy as np
 from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _count, _number,
                    _write_csv, _write_json, materialize_sites)
 from .transducer import (
+    _TINY,
     EliminatedSite,
+    _eliminated_coefficients,
+    _eliminated_combine,
+    _eliminated_entries,
+    _full_coefficients,
+    _full_combine,
+    _full_entries,
     _omega_factors,
     _pack22,
     scattering_eliminated,
@@ -104,26 +116,35 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
     2x2 stacks calls BLAS once per point.  Callers that need T21 alone use
     ``_t21``, which gives this product's ``[..., 1, 0]`` bit for bit.
     """
-    return _pack22(_fold(sites, omega, column=False), np.shape(omega))
+    return _pack22(_fold(_site_matrices(sites, omega), column=False), np.shape(omega))
 
 
 def _t21(sites: Sequence, omega):
-    """``array_transfer(sites, omega)[..., 1, 0]``, bit for bit."""
-    return _fold(sites, omega, column=True)[1]
+    """``array_transfer(sites, omega)[..., 1, 0]``, bit for bit.
+
+    A scalar frequency takes one public kernel call per site.  An array
+    takes the closed-form entries of up to ``max(1, 2048 // size)`` sites
+    at once, as (sites, points) arrays, and folds them site by site
+    (``_block_matrices``): about 6 numpy calls per site in place of about
+    22, which is most of the cost of the bisection rounds' 63 to 254 points.
+    """
+    w = np.asarray(omega, dtype=float)
+    if w.ndim == 0:
+        return _fold(_site_matrices(sites, w), column=True)[1]
+    return _fold(_block_matrices(sites, w.ravel()), column=True)[1].reshape(w.shape)
 
 
-def _fold(sites, omega, column: bool):
-    """Entries of S_N ... S_1, or with ``column`` only its column 0.
+def _fold(matrices, column: bool):
+    """Entries of S_N ... S_1 from the sites' entries ``matrices``, in order,
+    or with ``column`` only its column 0.
 
     Column 0 of a product depends only on column 0 of the product before
     it, and each entry is formed as ``_mul2`` forms it, so the column fold
     gives the full fold's bits from half the operations.
     """
-    if len(sites) == 0:
-        raise ValueError("need at least one site")
     mul = np.multiply
     t = None
-    for s in _site_matrices(sites, omega):
+    for s in matrices:
         if t is None:
             t = (s[0], s[2]) if column else s
         elif column:
@@ -131,6 +152,8 @@ def _fold(sites, omega, column: bool):
             t = (mul(s00, t[0]) + mul(s01, t[1]), mul(s10, t[0]) + mul(s11, t[1]))
         else:
             t = _mul2(s, t)
+    if t is None:
+        raise ValueError("need at least one site")
     return t
 
 
@@ -139,9 +162,8 @@ def _site_matrices(sites, omega):
     ``omega``, in order, straight from the public site kernels.
 
     Full sites with equal (kappa1, kappa2, gamma) share one set of
-    ``transducer._omega_factors``, and eliminated sites one ``1j * omega``.
-    The key carries gamma's sign, because 0.0 and -0.0 are equal keys but
-    need not give equal bits.
+    ``transducer._omega_factors`` (``_shared_factors``), and eliminated
+    sites one ``1j * omega``.
     """
     w = np.asarray(omega, dtype=float)
     shared = {}
@@ -151,13 +173,86 @@ def _site_matrices(sites, omega):
             if iw is None:
                 iw = 1j * w
             yield scattering_eliminated(site, w, _iw=iw, _entries=True)
-            continue
-        rates = (site.kappa1, site.kappa2, site.gamma)
-        key = rates + (math.copysign(1.0, site.gamma),)
-        factors = shared.get(key)
-        if factors is None:
-            factors = shared[key] = _omega_factors(*rates, w)
-        yield scattering_full(site, w, _factors=factors, _entries=True)
+        else:
+            yield scattering_full(site, w, _factors=_shared_factors(site, w, shared),
+                                  _entries=True)
+
+
+def _shared_factors(site, w, shared: dict):
+    """``_omega_factors`` of a full site at ``w``, computed once per distinct
+    (kappa1, kappa2, gamma) in ``shared``.  The key carries gamma's sign,
+    because 0.0 and -0.0 are equal keys but need not give equal bits."""
+    rates = (site.kappa1, site.kappa2, site.gamma)
+    key = rates + (math.copysign(1.0, site.gamma),)
+    factors = shared.get(key)
+    if factors is None:
+        factors = shared[key] = _omega_factors(*rates, w)
+    return factors
+
+
+_BLOCK_POINTS = 2048  # the most points in one of _block_matrices' (sites, points) arrays
+
+
+def _block_matrices(sites, w):
+    """``_site_matrices(sites, w)`` for a 1-D ``w``, bit for bit, from the
+    terms of up to ``max(1, _BLOCK_POINTS // w.size)`` consecutive sites of
+    one kind at once (``_block_entries``), with no public kernel call.  A
+    block that ``_block_entries`` declines takes ``_site_matrices``, so the
+    kernels' lift and its errors have the one source.
+    """
+    size = max(1, _BLOCK_POINTS // max(w.size, 1))
+    shared = {}
+    iw = None
+    for eliminated, run in itertools.groupby(sites, key=lambda s: isinstance(s, EliminatedSite)):
+        run = list(run)
+        if eliminated and iw is None:
+            iw = 1j * w
+        for start in range(0, len(run), size):
+            block = run[start:start + size]
+            entries = _block_entries(block, w, eliminated, shared, iw)
+            yield from _site_matrices(block, w) if entries is None else entries
+
+
+def _block_entries(block, w, eliminated: bool, shared: dict, iw):
+    """Each site's entries in ``block`` at ``w``, or None where
+    ``transducer._lifted`` would lift or raise: a coefficient overflows, or
+    the denominator leaves the normal range anywhere.
+
+    The kernels' own formula (``_full_combine`` or ``_eliminated_combine``,
+    then their entries) runs once on (sites, points) arrays: each Python-float
+    coefficient of the sites becomes one complex column, which is how numpy
+    takes a Python float, against the frequency factors shared per rate key
+    (``_shared_factors``) or ``iw = 1j * w``.  A block of one site keeps its
+    Python floats, since 1-D arrays skip numpy's broadcasting set-up.
+    """
+    try:
+        if eliminated:
+            c = [_eliminated_coefficients(s.gamma1, s.gamma2) for s in block]
+        else:
+            c = [_full_coefficients(s.g1, s.g2, s.kappa1, s.kappa2) for s in block]
+    except OverflowError:  # a Python float squared
+        return None
+    c = c[0] if len(block) == 1 else np.array(c, dtype=complex).T[:, :, None]
+    if eliminated:
+        terms = _eliminated_combine(c, iw)
+    else:
+        factors = [_shared_factors(s, w, shared) for s in block]
+        if all(f is factors[0] for f in factors):
+            factors = factors[0]
+        else:
+            factors = [np.stack(rows) for rows in zip(*factors)]
+        terms = _full_combine(c, factors)
+    if not _normal(terms[0]):
+        return None
+    entries = (_eliminated_entries if eliminated else _full_entries)(terms)
+    return (entries,) if len(block) == 1 else zip(*entries)
+
+
+def _normal(den) -> bool:
+    """Whether every |den| is normal and finite, by two reductions that
+    also hold for no points (a NaN fails both)."""
+    size = np.abs(den)
+    return size.min(initial=math.inf) >= _TINY and size.max(initial=0.0) < math.inf
 
 
 def _mul2(a, b):

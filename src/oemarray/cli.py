@@ -66,7 +66,8 @@ __all__ = ["main", "build_parser"]
 _DEFAULT_PROFILE = {"kind": "tanh", "g_bar1": 0.08, "g_bar2": 0.08, "beta": 4.5}
 
 # Peak bytes per grid point of the heaviest grid command, the Bogoliubov row fold
-# behind `stokes` (tracemalloc: 856-879 at 2001 and 20001 points, N = 10 and 50).
+# behind `stokes` (tracemalloc: 856-879 at 2001 and 20001 points, N = 10 and 50;
+# `spectrum` and `bandwidth-scan` 296-320, `noise` 392-400).
 _BYTES_PER_POINT = 1000
 
 

@@ -91,10 +91,15 @@ def scattering_full(site: SiteParams, omega, *, _factors=None,
 
     ``_factors`` and ``_entries`` are private, for ``cascade._site_matrices``,
     which calls this public kernel once per site because the benchmark times
-    it.  ``_factors`` is ``_omega_factors(kappa1, kappa2, gamma, omega)``,
-    computed once for all sites of equal linewidths; the bits are the same
-    without it.  ``_entries`` returns the entries (s00, s01, s10, s11), the
-    off-diagonal pair one array, that the matrix is otherwise packed from.
+    it: in the sweep (``array_transfer``), at scalar frequencies and in the
+    noise suffix sum.  ``_factors`` is ``_omega_factors(kappa1, kappa2,
+    gamma, omega)``, computed once for all sites of equal linewidths; the
+    bits are the same without it.  ``_entries`` returns the entries (s00,
+    s01, s10, s11), the off-diagonal pair one array, that the matrix is
+    otherwise packed from.  ``cascade._t21`` on an array of frequencies does
+    not call this kernel: it evaluates the same formula (``_full_combine``
+    and ``_full_entries``) for a block of sites at once, and calls the kernel
+    only for a block whose denominator needs ``_lifted``.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -102,9 +107,7 @@ def scattering_full(site: SiteParams, omega, *, _factors=None,
     """
     w = np.asarray(omega, dtype=float)
     rates = (site.g1, site.g2, site.kappa1, site.kappa2, site.gamma)
-    den, num11, num22, num12 = _lifted(_full_terms, rates, w, _factors)
-    off = num12 / den
-    s = (-1 + num11 / den, off, off, -1 + num22 / den)
+    s = _full_entries(_lifted(_full_terms, rates, w, _factors))
     return s if _entries else _pack22(s, w.shape)
 
 
@@ -172,11 +175,32 @@ def _omega_factors(k1, k2, gam, w):
 def _full_terms(g1, g2, k1, k2, gam, w, factors=None):
     """Denominator and the three numerators of ``scattering_full``, from
     ``factors = _omega_factors(k1, k2, gam, w)`` when given."""
-    d1, d2, p, q1, q2 = factors or _omega_factors(k1, k2, gam, w)
-    return (4 * g1 ** 2 * d2 + 4 * g2 ** 2 * d1 + p,
-            8 * g2 ** 2 * k1 + q1,
-            8 * g1 ** 2 * k2 + q2,
+    return _full_combine(_full_coefficients(g1, g2, k1, k2),
+                         factors or _omega_factors(k1, k2, gam, w))
+
+
+def _full_coefficients(g1, g2, k1, k2):
+    """The site's own factors of ``_full_terms``, formed with Python's ``**``
+    (which need not round as numpy's square does)."""
+    return (4 * g1 ** 2, 4 * g2 ** 2, 8 * g2 ** 2 * k1, 8 * g1 ** 2 * k2,
             -8 * g1 * g2 * math.sqrt(k1 * k2))
+
+
+def _full_combine(c, factors):
+    """``_full_terms`` from the coefficients ``c`` of ``_full_coefficients``
+    and the frequency factors; the coefficients may be Python floats, or
+    complex arrays of their values that broadcast against the factors,
+    which gives the same bits."""
+    a1, a2, b1, b2, off = c
+    d1, d2, p, q1, q2 = factors
+    return a1 * d2 + a2 * d1 + p, b1 + q1, b2 + q2, off
+
+
+def _full_entries(terms):
+    """``scattering_full``'s entries (s00, s01, s10, s11) from its terms."""
+    den, num11, num22, num12 = terms
+    off = num12 / den
+    return -1 + num11 / den, off, off, -1 + num22 / den
 
 
 def scattering_resonant(c1_tilde: float, c2_tilde: float) -> np.ndarray:
@@ -216,17 +240,33 @@ def scattering_eliminated(site: EliminatedSite, omega, *, _iw=None,
     returns the entries, which it folds, in place of the matrix.
     """
     w = np.asarray(omega, dtype=float)
-    den, num11, num12, num22 = _lifted(_eliminated_terms, (site.gamma1, site.gamma2), w, _iw)
-    off = num12 / den
-    s = (num11 / den, off, off, num22 / den)
+    s = _eliminated_entries(_lifted(_eliminated_terms, (site.gamma1, site.gamma2), w, _iw))
     return s if _entries else _pack22(s, w.shape)
 
 
 def _eliminated_terms(G1, G2, w, iw=None):
     """``scattering_eliminated``'s denominator and numerators; ``iw`` is 1j*w."""
-    iw = 1j * w if iw is None else iw
-    return (2 * (G1 + G2) - iw, -2 * (G1 - G2) - iw,
-            -4 * math.sqrt(G1) * math.sqrt(G2), 2 * (G1 - G2) - iw)
+    return _eliminated_combine(_eliminated_coefficients(G1, G2),
+                               1j * w if iw is None else iw)
+
+
+def _eliminated_coefficients(G1, G2):
+    """The site's own terms of ``_eliminated_terms``."""
+    return 2 * (G1 + G2), -2 * (G1 - G2), -4 * math.sqrt(G1) * math.sqrt(G2), 2 * (G1 - G2)
+
+
+def _eliminated_combine(c, iw):
+    """``_eliminated_terms`` from ``_eliminated_coefficients`` and 1j*w, which
+    broadcast as in ``_full_combine``."""
+    den, a11, off, a22 = c
+    return den - iw, a11 - iw, off, a22 - iw
+
+
+def _eliminated_entries(terms):
+    """``scattering_eliminated``'s entries from its terms."""
+    den, num11, num12, num22 = terms
+    off = num12 / den
+    return num11 / den, off, off, num22 / den
 
 
 def scattering_bogoliubov(bsite: BogoliubovSite, omega) -> np.ndarray:

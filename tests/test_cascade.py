@@ -1,15 +1,19 @@
 import functools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oemarray import (
     ArrayConfig,
     CouplingProfile,
     FrequencyGrid,
+    SingularMatrixError,
     SpectrumError,
     SiteParams,
     materialize_sites,
@@ -182,9 +186,13 @@ class TestSiteLoop:
 
 
 class TestPublicCalls:
-    """The cascade reaches the site kernels and the sweep through their public
-    names, once per site and once per spectrum, so that wrapping those names
-    (as the benchmark's tracer does) sees every call."""
+    """The sweep (``array_transfer``) and the evaluator's scalar calls reach the
+    site kernels through their public names, once per site, and a spectrum
+    sweeps through ``array_transfer`` once, so that wrapping those names (as
+    the benchmark's tracer does) sees every call.  The evaluator's array calls
+    (the bisection rounds and the noise band window) take blocked site terms
+    and call no public kernel; they compute the frequency factors once per
+    distinct rate key."""
 
     @staticmethod
     def counting(monkeypatch, module, name, calls):
@@ -197,16 +205,26 @@ class TestPublicCalls:
 
     @pytest.mark.parametrize("omega", [0.13, np.linspace(-1.5, 1.5, 31)],
                              ids=["scalar", "vector"])
-    @pytest.mark.parametrize("kind", ["ramp", "eliminated"])
+    @pytest.mark.parametrize("kind", ["ramp", "eliminated", "constant", "signed-zero"])
     @pytest.mark.parametrize("fold", [array_transfer, _t21], ids=["full", "column"])
     def test_one_public_kernel_call_per_site(self, monkeypatch, fold, kind, omega):
-        calls = []
+        calls, keys = [], []
         for name in ("scattering_full", "scattering_eliminated"):
             self.counting(monkeypatch, cascade, name, calls)
+        original = cascade._omega_factors
+
+        def factors(k1, k2, gam, w):
+            keys.append((k1, k2, gam, math.copysign(1.0, gam)))
+            return original(k1, k2, gam, w)
+        monkeypatch.setattr(cascade, "_omega_factors", factors)
         sites = TestSiteLoop.sites(kind, 7)
         fold(sites, omega)
         name = "scattering_eliminated" if kind == "eliminated" else "scattering_full"
-        assert calls == [(name, np.shape(omega))] * 7
+        blocked = fold is _t21 and np.ndim(omega) > 0
+        assert calls == ([] if blocked else [(name, np.shape(omega))] * 7)
+        distinct = {(s.kappa1, s.kappa2, s.gamma, math.copysign(1.0, s.gamma))
+                    for s in sites if not isinstance(s, EliminatedSite)}
+        assert sorted(keys) == sorted(distinct)
 
     def test_spectrum_sweeps_through_array_transfer(self, monkeypatch):
         calls = []
@@ -216,6 +234,116 @@ class TestPublicCalls:
         assert calls == [("array_transfer", (41,))]
         assert bits(spectrum.t21) == bits(_t21(materialize_sites(tanh_config(5)),
                                                grid.points()))
+
+
+def per_site_t21(sites, omega):
+    """T21 from the per-site fold, one public kernel call per site."""
+    return cascade._fold(cascade._site_matrices(sites, omega), column=True)[1]
+
+
+class TestBlockedTerms:
+    """``_t21`` on an array folds the terms of blocks of sites, computed at
+    once; it gives the per-site fold's bits, and takes that fold for a block
+    where the kernels lift or raise."""
+
+    @staticmethod
+    def sites(n, g, kappa1, gamma, kind):
+        full = materialize_sites(tanh_config(n, g=g, kappa1=kappa1, kappa2=1.3, gamma=gamma))
+        eliminated = [EliminatedSite(s.g1 ** 2 / s.kappa1, s.g2 ** 2 / s.kappa2) for s in full]
+        if kind == "full":
+            return full
+        if kind == "eliminated":
+            return eliminated
+        return [(e if j % 5 < 2 else s) for j, (s, e) in enumerate(zip(full, eliminated))]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 300),
+        shape=st.sampled_from([(0,), (1,), (2,), (127,), (254,), (2049,), (3001,), (7, 41)]),
+        g=st.floats(0.01, 0.3),
+        kappa1=st.sampled_from([1.0, (0.5, 2.0)]),
+        gamma=st.sampled_from([0.0, -0.0, 5e-5]),
+        kind=st.sampled_from(["full", "eliminated", "mixed"]),
+    )
+    def test_blocks_give_the_per_site_bits(self, n, shape, g, kappa1, gamma, kind):
+        sites = self.sites(n, g, kappa1, gamma, kind)
+        omega = np.linspace(-2.0, 2.0, math.prod(shape)).reshape(shape)
+        t = _t21(sites, omega)
+        assert t.shape == shape
+        assert bits(t) == bits(per_site_t21(sites, omega))
+
+    def test_python_squares_pin_the_coefficients(self):
+        # 0.0794 ** 2 and 0.0588 ** 2 differ from 0.0794 * 0.0794 and
+        # 0.0588 * 0.0588 in the last bit, so a block that squared the
+        # couplings with numpy would not give the kernels' bits
+        cfg = ArrayConfig(n_sites=6, profile=CouplingProfile.explicit([(0.0794, 0.0588)] * 6),
+                          kappa1=1.0, kappa2=1.0, gamma=0.0)
+        sites = materialize_sites(cfg)
+        omega = np.linspace(-0.5, 0.5, 301)
+        assert bits(_t21(sites, omega)) == bits(per_site_t21(sites, omega))
+        assert bits(_t21(sites, omega)) == bits(array_transfer(sites, omega)[..., 1, 0])
+
+    @pytest.mark.parametrize("omega", [np.array([0.1, 1e103, 1e200, -0.3]),
+                                       np.array([0.1, 2e-320, 0.0])],
+                             ids=["overflow", "subnormal"])
+    def test_a_lifted_denominator_gives_the_per_site_bits(self, omega):
+        # a near-lossless uncoupled first site has a subnormal denominator at
+        # omega ~ 0, and every site's overflows from |omega| ~ 4e102: _lifted
+        # lifts both; unlifted terms would give T21 = 0 in place of a subnormal
+        # value at 1e103, and NaN at 1e200
+        sites = [SiteParams(g1=0.0, g2=1e-160, kappa1=1.0, kappa2=1.0, gamma=5e-324)]
+        sites += materialize_sites(tanh_config(5))
+        with np.errstate(all="ignore"):
+            t = _t21(sites, omega)
+            assert bits(t) == bits(per_site_t21(sites, omega))
+        assert np.all(np.isfinite(t))
+
+    def test_non_finite_omega_is_named(self):
+        sites = materialize_sites(tanh_config(5))
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match="^omega must be finite, got nan$"):
+            _t21(sites, np.array([0.1, np.nan]))
+
+    @pytest.mark.parametrize("site", [
+        SiteParams(g1=0.0, g2=0.0, kappa1=1.0, kappa2=1.0, gamma=0.0),
+        EliminatedSite(0.0, 0.0)], ids=["full", "eliminated"])
+    def test_uncoupled_lossless_site_on_resonance_is_singular(self, site):
+        sites = materialize_sites(tanh_config(3)) + [site]
+        with pytest.raises(SingularMatrixError):
+            _t21(sites, np.array([0.3, 0.0]))
+
+    def test_no_points(self):
+        t = _t21(materialize_sites(tanh_config(5)), np.array([]))
+        assert t.shape == (0,) and t.dtype == complex
+
+    @pytest.mark.parametrize("points", [1, 127, 254, 2049, 3001])
+    @pytest.mark.parametrize("kind", ["constant", "ramp", "eliminated"])
+    def test_no_block_array_exceeds_the_point_budget(self, monkeypatch, kind, points):
+        sizes = []
+        for name in ("_full_combine", "_eliminated_combine"):
+            original = getattr(cascade, name)
+
+            def combine(*args, original=original):
+                terms = original(*args)
+                sizes.extend(np.size(t) for t in terms)
+                return terms
+            monkeypatch.setattr(cascade, name, combine)
+        sites = TestSiteLoop.sites(kind, 300)
+        _t21(sites, np.linspace(-1.0, 1.0, points))
+        assert sizes and max(sizes) <= max(2048, points)
+
+    def test_peak_memory_matches_the_per_site_fold(self):
+        sites = materialize_sites(tanh_config(50))
+        omega = np.linspace(-1.5, 1.5, 20001)
+        peaks = []
+        for fold in (per_site_t21, _t21):
+            tracemalloc.start()
+            try:
+                fold(sites, omega)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestConversionSpectrum:
