@@ -123,10 +123,10 @@ def _t21(sites: Sequence, omega):
     """``array_transfer(sites, omega)[..., 1, 0]``, bit for bit.
 
     A scalar frequency takes one public kernel call per site.  An array
-    takes the closed-form entries of up to ``max(1, 2048 // size)`` sites
-    at once, as (sites, points) arrays, and folds them site by site
-    (``_block_matrices``): about 6 numpy calls per site in place of about
-    22, which is most of the cost of the bisection rounds' 63 to 254 points.
+    takes the closed-form entries of up to ``max(1, 2048 // size)`` sites at
+    once, as (sites, points) arrays, folded site by site (``_block_matrices``):
+    about 6 numpy calls per site against 22 per kernel call, whose overhead
+    dominates the bisection rounds' 126 and 254 points.
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim == 0:

@@ -46,8 +46,9 @@ moved by more than that distance, and ``claim_rule_met``: the change won at
 least nine tenths of the pairs (a tie counts for neither side) and its
 median gain exceeds the parent's quartile distance.  Beside these, over the
 pairs that are not mixed-phase only, the pairs the change won and its
-median ratio (``steady_*``); every rule still reads all pairs.  Each end-to-end metric is also judged by the no-regression rule
-against its ``bound``: each side's quartile distance relative to its median,
+median ratio (``steady_*``); every rule still reads all pairs.  Each
+end-to-end metric is also judged by the no-regression rule against its
+``bound``: each side's quartile distance relative to its median,
 whether the change's median is within the bound, and ``unresolved`` where
 the parent's relative spread exceeds the bound, unless every run of the
 change reads better than every run of the parent; the printed summary gives
