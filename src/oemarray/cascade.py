@@ -13,11 +13,12 @@ from the public site kernels (``_entries=True``, ``_site_matrices``, which
 the noise cascade's suffix sum uses too), called once per site because the
 benchmark times them.  The callers that read only T21 fold column 0 alone
 (``_t21``), which gives the same bits from half the products: the
-spectrum's evaluator and the noise band window.  On an array of
-frequencies ``_t21`` computes the kernels' closed form for a block of sites
-at once (``_block_matrices``), so the bisection rounds' small arrays pay
-numpy's per-call overhead per block, not per site; a scalar frequency (the
-bracket ends) still takes one kernel call per site.  The spectrum's own
+spectrum's evaluator and the noise band window.  On an array of up to
+1024 frequencies ``_t21`` computes the kernels' closed form for a block of
+sites at once (``_block_matrices``), so the bisection rounds' small arrays
+pay numpy's per-call overhead per block, not per site; a scalar frequency
+(the bracket ends) and the noise band window still take one kernel call
+per site.  The spectrum's own
 sweep stays on ``array_transfer``, because the benchmark's cascade sweep
 metric is timed from those calls.  The optimizer's surrogate calls no site
 kernel: with the rate budget fixed, it builds T21 and its gradients from
@@ -46,7 +47,6 @@ import numpy as np
 from .core import (ArrayConfig, FrequencyGrid, SpectrumError, _count, _number,
                    _write_csv, _write_json, materialize_sites)
 from .transducer import (
-    _TINY,
     EliminatedSite,
     _eliminated_coefficients,
     _eliminated_combine,
@@ -54,6 +54,7 @@ from .transducer import (
     _full_coefficients,
     _full_combine,
     _full_entries,
+    _in_range,
     _omega_factors,
     _pack22,
     scattering_eliminated,
@@ -122,14 +123,16 @@ def array_transfer(sites: Sequence, omega) -> np.ndarray:
 def _t21(sites: Sequence, omega):
     """``array_transfer(sites, omega)[..., 1, 0]``, bit for bit.
 
-    A scalar frequency takes one public kernel call per site.  An array
-    takes the closed-form entries of up to ``max(1, 2048 // size)`` sites at
-    once, as (sites, points) arrays, folded site by site (``_block_matrices``):
-    about 6 numpy calls per site against 22 per kernel call, whose overhead
-    dominates the bisection rounds' 126 and 254 points.
+    An array of at most ``_BLOCK_POINTS // 2`` frequencies takes the
+    closed-form entries of up to ``_BLOCK_POINTS // size`` sites at once, as
+    (sites, points) arrays, folded site by site (``_block_matrices``): about
+    6 numpy calls per site against 22 per kernel call, whose overhead
+    dominates the bisection rounds' 126 and 254 points.  A scalar frequency
+    (the bracket ends) and a larger array (the noise band window) take one
+    public kernel call per site.
     """
     w = np.asarray(omega, dtype=float)
-    if w.ndim == 0:
+    if w.ndim == 0 or w.size > _BLOCK_POINTS // 2:
         return _fold(_site_matrices(sites, w), column=True)[1]
     return _fold(_block_matrices(sites, w.ravel()), column=True)[1].reshape(w.shape)
 
@@ -195,12 +198,12 @@ _BLOCK_POINTS = 2048  # the most points in one of _block_matrices' (sites, point
 
 def _block_matrices(sites, w):
     """``_site_matrices(sites, w)`` for a 1-D ``w``, bit for bit, from the
-    terms of up to ``max(1, _BLOCK_POINTS // w.size)`` consecutive sites of
-    one kind at once (``_block_entries``), with no public kernel call.  A
-    block that ``_block_entries`` declines takes ``_site_matrices``, so the
-    kernels' lift and its errors have the one source.
+    terms of up to ``_BLOCK_POINTS // w.size`` consecutive sites of one kind
+    at once (``_block_entries``), with no public kernel call.  A block that
+    ``_block_entries`` declines takes ``_site_matrices``, so the kernels'
+    lift and its errors have the one source.
     """
-    size = max(1, _BLOCK_POINTS // max(w.size, 1))
+    size = _BLOCK_POINTS // max(w.size, 1)
     shared = {}
     iw = None
     for eliminated, run in itertools.groupby(sites, key=lambda s: isinstance(s, EliminatedSite)):
@@ -216,14 +219,13 @@ def _block_matrices(sites, w):
 def _block_entries(block, w, eliminated: bool, shared: dict, iw):
     """Each site's entries in ``block`` at ``w``, or None where
     ``transducer._lifted`` would lift or raise: a coefficient overflows, or
-    the denominator leaves the normal range anywhere.
+    the denominator leaves its range (``_in_range``) anywhere.
 
     The kernels' own formula (``_full_combine`` or ``_eliminated_combine``,
     then their entries) runs once on (sites, points) arrays: each Python-float
     coefficient of the sites becomes one complex column, which is how numpy
     takes a Python float, against the frequency factors shared per rate key
-    (``_shared_factors``) or ``iw = 1j * w``.  A block of one site keeps its
-    Python floats, since 1-D arrays skip numpy's broadcasting set-up.
+    (``_shared_factors``) or ``iw = 1j * w``.
     """
     try:
         if eliminated:
@@ -232,7 +234,7 @@ def _block_entries(block, w, eliminated: bool, shared: dict, iw):
             c = [_full_coefficients(s.g1, s.g2, s.kappa1, s.kappa2) for s in block]
     except OverflowError:  # a Python float squared
         return None
-    c = c[0] if len(block) == 1 else np.array(c, dtype=complex).T[:, :, None]
+    c = np.array(c, dtype=complex).T[:, :, None]
     if eliminated:
         terms = _eliminated_combine(c, iw)
     else:
@@ -242,17 +244,10 @@ def _block_entries(block, w, eliminated: bool, shared: dict, iw):
         else:
             factors = [np.stack(rows) for rows in zip(*factors)]
         terms = _full_combine(c, factors)
-    if not _normal(terms[0]):
+    normal = _in_range(terms[0])
+    if np.count_nonzero(normal) < normal.size:
         return None
-    entries = (_eliminated_entries if eliminated else _full_entries)(terms)
-    return (entries,) if len(block) == 1 else zip(*entries)
-
-
-def _normal(den) -> bool:
-    """Whether every |den| is normal and finite, by two reductions that
-    also hold for no points (a NaN fails both)."""
-    size = np.abs(den)
-    return size.min(initial=math.inf) >= _TINY and size.max(initial=0.0) < math.inf
+    return zip(*(_eliminated_entries if eliminated else _full_entries)(terms))
 
 
 def _mul2(a, b):

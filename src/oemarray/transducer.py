@@ -91,15 +91,17 @@ def scattering_full(site: SiteParams, omega, *, _factors=None,
 
     ``_factors`` and ``_entries`` are private, for ``cascade._site_matrices``,
     which calls this public kernel once per site because the benchmark times
-    it: in the sweep (``array_transfer``), at scalar frequencies and in the
-    noise suffix sum.  ``_factors`` is ``_omega_factors(kappa1, kappa2,
-    gamma, omega)``, computed once for all sites of equal linewidths; the
-    bits are the same without it.  ``_entries`` returns the entries (s00,
-    s01, s10, s11), the off-diagonal pair one array, that the matrix is
-    otherwise packed from.  ``cascade._t21`` on an array of frequencies does
-    not call this kernel: it evaluates the same formula (``_full_combine``
-    and ``_full_entries``) for a block of sites at once, and calls the kernel
-    only for a block whose denominator needs ``_lifted``.
+    it: in the sweep (``array_transfer``), at scalar frequencies, in the
+    noise band window and in the noise suffix sum.  ``_factors`` is
+    ``_omega_factors(kappa1, kappa2, gamma, omega)``, computed once for all
+    sites of equal linewidths; the bits are the same without it.
+    ``_entries`` returns the entries (s00, s01, s10, s11), the off-diagonal
+    pair one array, that the matrix is otherwise packed from.
+    ``cascade._t21`` on a small array of frequencies (the bisection rounds)
+    does not call this kernel: it evaluates the same formula
+    (``_full_combine`` and ``_full_entries``) for a block of sites at once,
+    and calls the kernel only for a block whose denominator needs
+    ``_lifted``.
 
     Raises ``SingularMatrixError`` if the response denominator vanishes
     at any requested frequency (only possible for a completely lossless,
@@ -130,8 +132,7 @@ def _lifted(terms, rates, w, *factors):
     except OverflowError:  # a Python float rate squared
         values, normal = None, np.zeros(w.shape, dtype=bool)
     else:
-        size = np.abs(values[0])
-        normal = (size >= _TINY) & (size < math.inf)
+        normal = _in_range(values[0])
     if np.count_nonzero(normal) < normal.size:
         at = ~normal
         # largest rate or lifted frequency to ~2**300, up or down: cubic terms
@@ -151,6 +152,12 @@ def _lifted(terms, rates, w, *factors):
         for t, value in zip(values, lifted):
             t[at] = value
     return values
+
+
+def _in_range(den):
+    """Where |den| is normal and finite: the denominators ``_lifted`` keeps."""
+    size = np.abs(den)
+    return (size >= _TINY) & (size < math.inf)
 
 
 def _omega_factors(k1, k2, gam, w):

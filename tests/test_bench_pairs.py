@@ -156,36 +156,3 @@ def test_slowest_tests_are_read_from_the_durations_block(tool):
     last_line = DURATIONS_OUTPUT.strip().splitlines()[-1]
     assert tool.pytest_counts(last_line)["passed"] == 636
     assert tool.slowest_tests("636 passed in 27.12s\n") == []
-
-
-def test_mixed_phase_pairs_are_marked_and_set_apart(tool, capsys):
-    # kernels as (before, after) ms: pairs 0 and 1 differ by more than 25% of
-    # the faster mean (6.0 against 9.0, and 10.0 against 6.0), pair 2 by
-    # exactly 25%, and a run with no reading marks nothing
-    kernels = [((5.6, 6.4), (8.0, 10.0)), ((11.7, 8.3), (5.6, 6.4)),
-               ((8.0, 8.0), (10.0, 10.0)), (None, (5.0, 5.0))]
-    kernels += [((6.0, 6.0), (6.1, 5.9))] * 6
-    data = pairs("job_ms_tail", STEADY, [x - 20 for x in STEADY])
-    data[0]["change"]["job_ms_tail"] = 130  # lost, in a mixed-phase pair
-    data[1]["change"]["job_ms_tail"] = 140
-    for pair, (parent, change) in zip(data, kernels):
-        pair["parent"]["calibration_ms"], pair["change"]["calibration_ms"] = parent, change
-        pair["mixed_phase"] = tool.mixed_phase(pair)
-    assert [p["mixed_phase"] for p in data] == [True, True] + [False] * 8
-    metric = {"name": "job_ms_tail", "better": "lower", "bound": 0.25}
-    s = tool.summarize(data, [metric])["job_ms_tail"]
-    # the all-pairs figures and rules are unchanged by the marks
-    assert s["change_better_pairs"] == 8 and s["pairs"] == 10
-    assert not s["claim_rule_met"]
-    unmarked = tool.summarize([{k: v for k, v in p.items() if k != "mixed_phase"}
-                               for p in data], [metric])["job_ms_tail"]
-    for key in ("change_better_pairs", "median_ratio_change_over_parent",
-                "claim_rule_met", "within_bound", "unresolved"):
-        assert s[key] == unmarked[key]
-    assert unmarked["steady_pairs"] == 10
-    # the steady figures read the other eight pairs, STEADY[2:] and 20 less:
-    # medians 100.5 and 80.5
-    assert s["steady_pairs"] == 8 and s["steady_change_better_pairs"] == 8
-    assert s["steady_median_ratio_change_over_parent"] == 80.5 / 100.5
-    tool._print_summary("spectra", {"job_ms_tail": s})
-    assert capsys.readouterr().out.rstrip().endswith("steady pairs: won 8/8, median ratio 0.801")

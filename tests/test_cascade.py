@@ -189,10 +189,10 @@ class TestPublicCalls:
     """The sweep (``array_transfer``) and the evaluator's scalar calls reach the
     site kernels through their public names, once per site, and a spectrum
     sweeps through ``array_transfer`` once, so that wrapping those names (as
-    the benchmark's tracer does) sees every call.  The evaluator's array calls
-    (the bisection rounds and the noise band window) take blocked site terms
-    and call no public kernel; they compute the frequency factors once per
-    distinct rate key."""
+    the benchmark's tracer does) sees every call.  ``_t21`` on an array of at
+    most 1024 frequencies (the bisection rounds) takes blocked site terms and
+    calls no public kernel; a larger array (the noise band window) takes one
+    call per site."""
 
     @staticmethod
     def counting(monkeypatch, module, name, calls):
@@ -203,14 +203,27 @@ class TestPublicCalls:
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    @pytest.mark.parametrize("omega", [0.13, np.linspace(-1.5, 1.5, 31)],
-                             ids=["scalar", "vector"])
-    @pytest.mark.parametrize("kind", ["ramp", "eliminated", "constant", "signed-zero"])
-    @pytest.mark.parametrize("fold", [array_transfer, _t21], ids=["full", "column"])
-    def test_one_public_kernel_call_per_site(self, monkeypatch, fold, kind, omega):
-        calls, keys = [], []
+    def kernel_calls(self, monkeypatch):
+        calls = []
         for name in ("scattering_full", "scattering_eliminated"):
             self.counting(monkeypatch, cascade, name, calls)
+        return calls
+
+    @pytest.mark.parametrize("fold,omega", [
+        (array_transfer, 0.13), (array_transfer, np.linspace(-1.5, 1.5, 31)),
+        (_t21, 0.13), (_t21, np.linspace(-1.5, 1.5, 1025))],
+        ids=["full-scalar", "full-vector", "column-scalar", "column-window"])
+    @pytest.mark.parametrize("kind", ["ramp", "eliminated"])
+    def test_one_public_kernel_call_per_site(self, monkeypatch, kind, fold, omega):
+        calls = self.kernel_calls(monkeypatch)
+        fold(TestSiteLoop.sites(kind, 7), omega)
+        name = "scattering_eliminated" if kind == "eliminated" else "scattering_full"
+        assert calls == [(name, np.shape(omega))] * 7
+
+    @pytest.mark.parametrize("points", [31, 1024])
+    @pytest.mark.parametrize("kind", ["ramp", "eliminated", "constant", "signed-zero"])
+    def test_blocked_t21_calls_no_public_kernel(self, monkeypatch, kind, points):
+        calls, keys = self.kernel_calls(monkeypatch), []
         original = cascade._omega_factors
 
         def factors(k1, k2, gam, w):
@@ -218,10 +231,10 @@ class TestPublicCalls:
             return original(k1, k2, gam, w)
         monkeypatch.setattr(cascade, "_omega_factors", factors)
         sites = TestSiteLoop.sites(kind, 7)
-        fold(sites, omega)
-        name = "scattering_eliminated" if kind == "eliminated" else "scattering_full"
-        blocked = fold is _t21 and np.ndim(omega) > 0
-        assert calls == ([] if blocked else [(name, np.shape(omega))] * 7)
+        _t21(sites, np.linspace(-1.5, 1.5, points))
+        assert calls == []
+        # the frequency factors once per distinct (kappa1, kappa2, gamma, sign
+        # of gamma): 7 for the ramp, 1 constant, 2 for gamma = 0.0 and -0.0
         distinct = {(s.kappa1, s.kappa2, s.gamma, math.copysign(1.0, s.gamma))
                     for s in sites if not isinstance(s, EliminatedSite)}
         assert sorted(keys) == sorted(distinct)
@@ -259,7 +272,8 @@ class TestBlockedTerms:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 300),
-        shape=st.sampled_from([(0,), (1,), (2,), (127,), (254,), (2049,), (3001,), (7, 41)]),
+        shape=st.sampled_from([(0,), (1,), (2,), (127,), (254,), (1024,), (1025,), (2049,),
+                               (3001,), (7, 41)]),
         g=st.floats(0.01, 0.3),
         kappa1=st.sampled_from([1.0, (0.5, 2.0)]),
         gamma=st.sampled_from([0.0, -0.0, 5e-5]),
@@ -316,7 +330,7 @@ class TestBlockedTerms:
         t = _t21(materialize_sites(tanh_config(5)), np.array([]))
         assert t.shape == (0,) and t.dtype == complex
 
-    @pytest.mark.parametrize("points", [1, 127, 254, 2049, 3001])
+    @pytest.mark.parametrize("points", [1, 127, 254, 1024])
     @pytest.mark.parametrize("kind", ["constant", "ramp", "eliminated"])
     def test_no_block_array_exceeds_the_point_budget(self, monkeypatch, kind, points):
         sizes = []
@@ -330,7 +344,7 @@ class TestBlockedTerms:
             monkeypatch.setattr(cascade, name, combine)
         sites = TestSiteLoop.sites(kind, 300)
         _t21(sites, np.linspace(-1.0, 1.0, points))
-        assert sizes and max(sizes) <= max(2048, points)
+        assert sizes and max(sizes) <= 2048
 
     def test_peak_memory_matches_the_per_site_fold(self):
         sites = materialize_sites(tanh_config(50))

@@ -37,18 +37,13 @@ has no samples) ends the tool with exit 1, naming the side.
 
 The output records, per workload and side, every pair's metrics,
 ``failed_ratio`` and ``calibration_ms`` (perfbench's calibration kernel, ms
-before and after the run's jobs), and per pair ``mixed_phase``: the two
-runs' kernels (each the mean of before and after) differ by more than
-``MIXED_PHASE`` of the faster, so the machine changed pace between them.
-Per metric it records the median and quartiles of each side, how many pairs
-the change won, the parent's quartile distance, whether the change's median
-moved by more than that distance, and ``claim_rule_met``: the change won at
-least nine tenths of the pairs (a tie counts for neither side) and its
-median gain exceeds the parent's quartile distance.  Beside these, over the
-pairs that are not mixed-phase only, the pairs the change won and its
-median ratio (``steady_*``); every rule still reads all pairs.  Each
-end-to-end metric is also judged by the no-regression rule against its
-``bound``: each side's quartile distance relative to its median,
+before and after the run's jobs); per metric, the median and quartiles of
+each side, how many pairs the change won, the parent's quartile distance,
+whether the change's median moved by more than that distance, and
+``claim_rule_met``: the change won at least nine tenths of the pairs (a tie
+counts for neither side) and its median gain exceeds the parent's quartile
+distance.  Each end-to-end metric is also judged by the no-regression rule
+against its ``bound``: each side's quartile distance relative to its median,
 whether the change's median is within the bound, and ``unresolved`` where
 the parent's relative spread exceeds the bound, unless every run of the
 change reads better than every run of the parent; the printed summary gives
@@ -141,20 +136,6 @@ def alternating(n_pairs: int, run, key: str = "pair"):
         yield pair
 
 
-MIXED_PHASE = 0.25
-
-
-def mixed_phase(pair: dict) -> bool:
-    """Whether the two runs' calibration kernels, each the mean of its before
-    and after readings, differ by more than ``MIXED_PHASE`` of the faster;
-    False where a run has no reading."""
-    kernels = [pair[side].get("calibration_ms") for side in SIDES]
-    if None in kernels:
-        return False
-    fast, slow = sorted(sum(k) / len(k) for k in kernels)
-    return slow > (1 + MIXED_PHASE) * fast
-
-
 # the line perfbench prints with its calibration kernel's timings
 _CALIBRATION_LINE = re.compile(
     r"^calibration kernel: ([0-9.]+) ms before, ([0-9.]+) ms after$", re.MULTILINE)
@@ -243,7 +224,6 @@ def traced_runs(dirs: dict, workload: str, k: int, seconds: float,
 
     runs = []
     for pair in alternating(k, run, key="seed"):
-        pair["mixed_phase"] = mixed_phase(pair)
         runs.append(pair)
         print(f"{workload} traced seed {pair['seed']} done", flush=True)
     summary = summarize(runs, metrics)
@@ -339,8 +319,6 @@ def summarize(pairs: list, metrics: list) -> dict:
     the parent's quartile distance, whether the median gain exceeds it, and
     whether a claimed gain would stand (``claim_rule_met``: at least nine
     tenths of the pairs won, ties counting for neither side, and that gain).
-    The pairs not marked ``mixed_phase`` give ``steady_pairs``, the change's
-    wins among them and its median ratio over them.
 
     A metric with a ``bound`` (an end-to-end metric of ``BENCHMARK.json``) is
     also judged by the no-regression rule: each side's quartile distance
@@ -355,14 +333,8 @@ def summarize(pairs: list, metrics: list) -> dict:
         name, lower = metric["name"], metric["better"] == "lower"
         sides = {side: [p[side][name] for p in pairs] for side in SIDES}
         stats = {side: _quartiles(sides[side]) for side in SIDES}
-
-        def wins(kept):
-            return sum((p["change"][name] < p["parent"][name]) if lower
-                       else (p["change"][name] > p["parent"][name]) for p in kept)
-        won = wins(pairs)
-        steady = [p for p in pairs if not p.get("mixed_phase")]
-        steady_medians = [statistics.median(p[side][name] for p in steady)
-                          for side in SIDES] if steady else None
+        won = sum((c < p) if lower else (c > p)
+                  for p, c in zip(sides["parent"], sides["change"]))
         iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         gain = stats["parent"]["median"] - stats["change"]["median"]
         exceeds = (gain if lower else -gain) > iqr
@@ -377,11 +349,6 @@ def summarize(pairs: list, metrics: list) -> dict:
             "parent_iqr": iqr,
             "median_gain_exceeds_parent_iqr": exceeds,
             "claim_rule_met": 10 * won >= 9 * len(pairs) and exceeds,
-            "steady_pairs": len(steady),
-            "steady_change_better_pairs": wins(steady),
-            "steady_median_ratio_change_over_parent":
-                steady_medians[1] / steady_medians[0]
-                if steady_medians and steady_medians[0] else None,
         }
         if "bound" in metric:
             bound, parent = metric["bound"], stats["parent"]["median"]
@@ -421,17 +388,7 @@ def _print_summary(label: str, summary: dict) -> None:
         print(f"{label:9s} {name:12s} parent {s['parent']['median']:.4g} "
               f"change {s['change']['median']:.4g}  won {s['change_better_pairs']}/"
               f"{s['pairs']}  parent iqr {s['parent_iqr']:.3g}"
-              f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}" + _verdict(s)
-              + _steady(s))
-
-
-def _steady(s: dict) -> str:
-    """The steady-pair figures, where some pairs were mixed-phase."""
-    if s["steady_pairs"] == s["pairs"]:
-        return ""
-    ratio = s["steady_median_ratio_change_over_parent"]
-    return (f"  steady pairs: won {s['steady_change_better_pairs']}/{s['steady_pairs']}"
-            f", median ratio {'n/a' if ratio is None else format(ratio, '.3g')}")
+              f"  claim rule {'met' if s['claim_rule_met'] else 'not met'}" + _verdict(s))
 
 
 def main(argv=None) -> int:
@@ -485,7 +442,6 @@ def main(argv=None) -> int:
         for pair in alternating(
                 args.pairs, lambda side, seed: run_once(dirs[side], workload, seed, seconds),
                 key="seed"):
-            pair["mixed_phase"] = mixed_phase(pair)
             pairs.append(pair)
             print(f"{workload} seed {pair['seed']}: " + ", ".join(
                 f"{side} p50 {pair[side]['job_ms_p50']:.1f} ms tail "
