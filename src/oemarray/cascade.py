@@ -18,12 +18,12 @@ spectrum's evaluator and the noise band window.  On an array of up to
 sites at once (``_block_matrices``), so the bisection rounds' small arrays
 pay numpy's per-call overhead per block, not per site; a scalar frequency
 (the bracket ends) and the noise band window still take one kernel call
-per site.  The spectrum's own
-sweep stays on ``array_transfer``, because the benchmark's cascade sweep
-metric is timed from those calls.  The optimizer's surrogate calls no site
-kernel: with the rate budget fixed, it builds T21 and its gradients from
-the sites' polynomial (``optimize._columns``), and only its refined results
-come from this module.
+per site.  The spectrum's own sweep stays on ``array_transfer``, because
+the benchmark's cascade sweep metric is timed from those calls.  The
+optimizer's surrogate calls no site kernel: with the rate budget fixed, it
+builds T21 and its gradients from the sites' polynomial
+(``optimize._columns``), and only its refined results come from this
+module.
 Half-max crossings are refined by exact batched bisection: the result is
 bit for bit that of a scalar bisection loop, but each round evaluates the
 spectrum's evaluator once, on an array of candidate midpoints.
